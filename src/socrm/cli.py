@@ -20,8 +20,9 @@ import logging
 import sys
 
 from . import __version__, controller, event_bus, latency_budget, telemetry, verify
+from .fft_engines import APU, PL
 from .profiles import ProfileError, models_from_profile
-from .timing_model import APU, PL, PRINTED_ACCELERATION, TABLE_EXTRACTED
+from .timing_model import PRINTED_ACCELERATION, TABLE_EXTRACTED
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,6 +43,40 @@ def _parse_address(text: str) -> tuple[str, int]:
     if not sep or not port.isdigit():
         raise ConfigError(f"address must be host:port, got {text!r}")
     return (host or "127.0.0.1", int(port))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_trace(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(entry, list) and len(entry) == 2
+        and all(_is_int(v) and v >= 0 for v in entry) for entry in value)
+
+
+def _is_optional_str(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+# merged run field -> (validity test, what a valid value is)
+RUN_FIELD_CHECKS = {
+    "seed": (_is_int, "an integer"),
+    # a jitter fraction of 1 or more can make a sampled APU time negative
+    "jitter": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "max_events": (lambda v: v is None or (_is_int(v) and v >= 1),
+                   "an integer >= 1 or null"),
+    "idle_timeout": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "fast_forward": (lambda v: isinstance(v, bool), "true or false"),
+    "trace": (lambda v: v is None or _is_trace(v),
+              "a list of [delay_us, faces] pairs of non-negative integers"),
+    **{key: (_is_optional_str, "a string or null") for key in (
+        "trace_path", "listen", "telemetry_file", "telemetry_socket", "profile")},
+}
 
 
 def _load_scenario(path) -> dict:
@@ -120,12 +155,9 @@ def _merge_run_config(args) -> dict:
     for key in ("trace", "listen", "mechanism", "seed", "jitter",
                 "telemetry_file", "telemetry_socket", "profile",
                 "max_events", "idle_timeout"):
-        value = getattr(args, key if key != "trace" else "trace", None)
-        if key == "trace":
-            if value is not None:
-                cfg["trace_path"] = value
-        elif value is not None:
-            cfg[key] = value
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg["trace_path" if key == "trace" else key] = value
     if args.wall_clock:
         cfg["fast_forward"] = False
     elif args.fast_forward:
@@ -134,6 +166,9 @@ def _merge_run_config(args) -> dict:
         raise ConfigError("choose either a trace or a listen address, not both")
     if cfg["mechanism"] not in (controller.CLOCK_GATING, controller.PARTIAL_BITSTREAM):
         raise ConfigError(f"unknown mechanism {cfg['mechanism']!r}")
+    for key, (valid, expected) in RUN_FIELD_CHECKS.items():
+        if not valid(cfg[key]):
+            raise ConfigError(f"{key} must be {expected}, got {cfg[key]!r}")
     return cfg
 
 
@@ -152,7 +187,10 @@ def _event_source(cfg, out):
                     break
         return events(), server
     if cfg["trace_path"]:
-        trace = event_bus.load_trace(cfg["trace_path"])
+        try:
+            trace = event_bus.load_trace(cfg["trace_path"])
+        except ValueError as exc:  # malformed content; a missing file stays OSError
+            raise ConfigError(f"trace {cfg['trace_path']}: {exc}") from exc
     elif cfg["trace"] is not None:
         trace = [tuple(entry) for entry in cfg["trace"]]
     else:

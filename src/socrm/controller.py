@@ -17,11 +17,9 @@ import numpy as np
 
 from . import fft_engines
 from .event_bus import FaceEvent
+from .fft_engines import APU, PL
 from .power_model import PowerBreakdown, PowerModel
 from .timing_model import TimingModel
-
-APU = "APU"
-PL = "PL"
 
 CLOCK_GATING = "clock-gating"
 PARTIAL_BITSTREAM = "partial-bitstream"
@@ -151,28 +149,14 @@ class Controller:
         n = state.points
         # synthetic stand-in for the DDR-played-back input signal
         x = self._rng.uniform(-0.5, 0.5, n) + 1j * self._rng.uniform(-0.5, 0.5, n)
-        plan = fft_engines.get_plan(n)
         error = None
         if state.domain == PL:
-            fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x), plan=plan)
-            reference = fft_engines.fft_float(x, plan=plan)
+            fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
+            reference = fft_engines.fft_float(x)
             scaled = fft_engines.dequantize(fixed_out) * n
             error = fft_engines.mse(reference, scaled)
         else:
-            fft_engines.fft_float(x, plan=plan)
+            fft_engines.fft_float(x)
         exec_time = self.timing.sample_exec_time(state.domain, n)
         power = self.power.power_breakdown(state.domain, n)
         return ExecutionReport(event, state, action, exec_time, power, error)
-
-
-def run_trace(events, controller: Controller):
-    """Drive a controller from an event iterable; returns the report list."""
-    reports = []
-    for event in events:
-        _, _, report = controller.process_event(event)
-        reports.append(report)
-    return reports
-
-
-def rules_table() -> dict[int, tuple[str, int]]:
-    return dict(RULES)

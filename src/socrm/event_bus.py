@@ -57,10 +57,8 @@ def decode_event(line: str) -> FaceEvent:
     for name, value in (("faces", faces), ("seq", seq), ("timestamp_us", timestamp_us)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ProtocolError(f"{name} must be an integer in {line!r}")
-    if faces < 0:
-        raise ProtocolError(f"faces must be non-negative in {line!r}")
-    if timestamp_us < 0:
-        raise ProtocolError(f"timestamp_us must be non-negative in {line!r}")
+        if value < 0:
+            raise ProtocolError(f"{name} must be non-negative in {line!r}")
     return FaceEvent(faces, seq, timestamp_us)
 
 
@@ -242,5 +240,8 @@ def load_trace(path) -> list[tuple[int, int]]:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"bad trace line: {raw!r}")
-            trace.append((int(parts[0]), int(parts[1])))
+            delay_us, faces = int(parts[0]), int(parts[1])
+            if delay_us < 0 or faces < 0:
+                raise ValueError(f"negative value in trace line: {raw!r}")
+            trace.append((delay_us, faces))
     return trace

@@ -1,11 +1,11 @@
 """Both FFT execution domains of the simulated device.
 
-The software ("APU") path is a genuinely executed floating-point radix-2
-FFT in double precision.  The hardware ("PL") path is a numerical emulation
-of a 16-bit fixed-point streaming FFT core: Q1.15 samples, radix-2
-decimation-in-time, per-stage scaling by 1/2 so overflow is impossible by
-construction.  Twiddle factors are precomputed once per size in an
-immutable plan shared by both paths.
+The software ("APU") path runs a library FFT in double precision
+(`numpy.fft`), as the device's APU runs FFTW.  The hardware ("PL") path is a
+numerical emulation of a 16-bit fixed-point streaming FFT core: Q1.15
+samples, radix-2 decimation-in-time, per-stage scaling by 1/2 so overflow is
+impossible by construction.  Its bit-reversal permutation and Q1.15 twiddle
+factors are precomputed once per size in an immutable plan.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+APU = "APU"  # software domain: the ARM application processing unit
+PL = "PL"  # hardware domain: the programmable-logic FFT core
 
 Q15_SCALE = 1 << 15
 Q15_MIN = -(1 << 15)
@@ -56,7 +59,6 @@ class FftPlan:
 
     points: int
     bitrev: np.ndarray = field(repr=False)
-    twiddles: np.ndarray = field(repr=False)        # exp(-2*pi*i*k/N), k < N/2
     twiddles_q15_re: np.ndarray = field(repr=False)
     twiddles_q15_im: np.ndarray = field(repr=False)
 
@@ -67,7 +69,7 @@ class FftPlan:
         tw = np.exp(-2j * np.pi * k / points)
         tw_re = np.clip(np.round(tw.real * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
         tw_im = np.clip(np.round(tw.imag * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
-        return cls(points, _bit_reverse_permutation(points), tw, tw_re, tw_im)
+        return cls(points, _bit_reverse_permutation(points), tw_re, tw_im)
 
 
 _plan_cache: dict[int, FftPlan] = {}
@@ -90,41 +92,18 @@ def _as_complex_block(x, points: int) -> np.ndarray:
     return a
 
 
-def _radix2(a: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
-    n = plan.points
-    a = a[plan.bitrev]
-    half = 1
-    while half < n:
-        stride = n // (2 * half)
-        w = plan.twiddles[::stride][:half]
-        if inverse:
-            w = np.conj(w)
-        a = a.reshape(-1, 2 * half)
-        top = a[:, :half]
-        bot = a[:, half:] * w
-        a = np.concatenate([top + bot, top - bot], axis=1).reshape(-1)
-        half *= 2
-    return a
-
-
-def fft_float(x, points: int | None = None, plan: FftPlan | None = None) -> np.ndarray:
+def fft_float(x, points: int | None = None) -> np.ndarray:
     """Unnormalized forward DFT, natural-order output, double precision."""
-    if plan is None:
-        if points is None:
-            points = len(x)
-        plan = get_plan(points)
-    a = _as_complex_block(x, plan.points)
-    return _radix2(a, plan, inverse=False)
+    points = len(x) if points is None else points
+    _check_size(points)
+    return np.fft.fft(_as_complex_block(x, points))
 
 
-def ifft_float(x, points: int | None = None, plan: FftPlan | None = None) -> np.ndarray:
+def ifft_float(x, points: int | None = None) -> np.ndarray:
     """Inverse DFT with 1/N normalization; inverts fft_float."""
-    if plan is None:
-        if points is None:
-            points = len(x)
-        plan = get_plan(points)
-    a = _as_complex_block(x, plan.points)
-    return _radix2(a, plan, inverse=True) / plan.points
+    points = len(x) if points is None else points
+    _check_size(points)
+    return np.fft.ifft(_as_complex_block(x, points))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-APU = "APU"
-PL = "PL"
+from .fft_engines import APU, PL
 
 # static (idle) rail power in mW when the domain is not hosting the function
 STATIC_MW = {APU: 2024.0, PL: 1187.0}

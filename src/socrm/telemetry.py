@@ -1,26 +1,21 @@
-"""Periodic sampling and export of the simulated device's metrics.
+"""Sampling and export of the simulated device's metrics.
 
 Samples combine the power breakdown of the deployed configuration with the
 latest execution report.  Export uses the same line-delimited JSON record
-convention as the event wire format (one sample per line, atomic), plus an
-optional CSV mode for spreadsheet import.
+convention as the event wire format (one sample per line, atomic).
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
-import time
 from dataclasses import dataclass
 
 from .controller import ExecutionReport, FunctionState
 from .power_model import PowerModel
 
-DEFAULT_PERIOD_S = 0.1
-
-CSV_FIELDS = ("timestamp_us", "domain", "points", "ddr_mw", "apu_mw", "pl_mw",
-              "total_mw", "last_exec_time_us", "last_mse", "generation")
+SAMPLE_FIELDS = ("timestamp_us", "domain", "points", "ddr_mw", "apu_mw", "pl_mw",
+                 "total_mw", "last_exec_time_us", "last_mse", "generation")
 
 
 class ExportError(RuntimeError):
@@ -58,7 +53,7 @@ def take_sample(state: FunctionState, power: PowerModel,
 
 
 def render_sample(sample: TelemetrySample) -> str:
-    obj = {f: getattr(sample, f) for f in CSV_FIELDS}
+    obj = {f: getattr(sample, f) for f in SAMPLE_FIELDS}
     if obj["last_mse"] is None:
         del obj["last_mse"]
     return json.dumps(obj) + "\n"
@@ -80,28 +75,13 @@ def parse_sample(line: str) -> TelemetrySample:
     )
 
 
-def csv_header() -> str:
-    return ",".join(CSV_FIELDS) + "\n"
-
-
-def csv_row(sample: TelemetrySample) -> str:
-    values = []
-    for f in CSV_FIELDS:
-        v = getattr(sample, f)
-        values.append("" if v is None else str(v))
-    return ",".join(values) + "\n"
-
-
-def export_to_file(samples, path, append: bool = True, csv: bool = False) -> int:
-    """Write one record per line; returns the number of records delivered."""
+def export_to_file(samples, path) -> int:
+    """Append one record per line; returns the number of records delivered."""
     delivered = 0
-    mode = "a" if append else "w"
     try:
-        with open(path, mode, encoding="utf-8") as fh:
-            if csv and fh.tell() == 0:
-                fh.write(csv_header())
+        with open(path, "a", encoding="utf-8") as fh:
             for sample in samples:
-                fh.write(csv_row(sample) if csv else render_sample(sample))
+                fh.write(render_sample(sample))
                 delivered += 1
     except OSError as exc:
         raise ExportError(f"file sink {path} failed: {exc}", delivered) from exc
@@ -128,52 +108,3 @@ def energy_mj(dwell_us_by_config: dict, power: PowerModel) -> float:
     for (domain, points), dwell_us in dwell_us_by_config.items():
         total += power.power_breakdown(domain, points).total_mw * dwell_us / 1e6
     return total
-
-
-class Sampler:
-    """Periodic background sampler reading immutable state snapshots.
-
-    Never blocks the producer; samples accumulate in a bounded buffer
-    (drop-oldest, counted) until drained by the exporter.
-    """
-
-    def __init__(self, state_fn, power: PowerModel, report_fn=lambda: None,
-                 period_s: float = DEFAULT_PERIOD_S, capacity: int = 4096):
-        self._state_fn = state_fn
-        self._report_fn = report_fn
-        self._power = power
-        self.period_s = period_s
-        self.capacity = capacity
-        self.dropped_count = 0
-        self._buffer: list[TelemetrySample] = []
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._start_monotonic = None
-
-    def start(self):
-        self._start_monotonic = time.monotonic()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-
-    def _loop(self):
-        while not self._stop.wait(self.period_s):
-            now_us = int((time.monotonic() - self._start_monotonic) * 1e6)
-            sample = take_sample(self._state_fn(), self._power,
-                                 self._report_fn(), now_us)
-            with self._lock:
-                if len(self._buffer) >= self.capacity:
-                    self._buffer.pop(0)
-                    self.dropped_count += 1
-                self._buffer.append(sample)
-
-    def drain(self) -> list[TelemetrySample]:
-        with self._lock:
-            out, self._buffer = self._buffer, []
-        return out

@@ -10,7 +10,6 @@ model constants.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -18,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fft_engines
-
-APU = "APU"
-PL = "PL"
+from .fft_engines import APU, PL
 
 # (domain, points) -> exec time in microseconds, calibrated on the reference device
 DEFAULT_TIMING_PROFILE = {
@@ -58,7 +55,7 @@ class TimingEntry:
     domain: str
     points: int
     exec_time_us: float
-    provenance: str  # table-measured | table-extracted | interpolated | live-measured
+    provenance: str  # table-measured | table-extracted | live-measured
     spread_us: tuple[float, float] | None = None  # (min, max) for live measurements
 
 
@@ -67,15 +64,12 @@ class TimingModel:
 
     `jitter_pct` > 0 enables seeded uniform jitter around the APU table mean
     in sample_exec_time (scenario realism only; lookup stays pure).
-    `allow_interpolation` opts in to log-linear interpolation for
-    non-calibrated power-of-two sizes.
     """
 
     def __init__(self, profile: dict | None = None, jitter_pct: float = 0.0,
-                 seed: int | None = None, allow_interpolation: bool = False):
+                 seed: int | None = None):
         self.profile = dict(DEFAULT_TIMING_PROFILE if profile is None else profile)
         self.jitter_pct = jitter_pct
-        self.allow_interpolation = allow_interpolation
         self._rng = random.Random(seed)
 
     def calibrated_sizes(self, domain: str) -> list[int]:
@@ -86,18 +80,7 @@ class TimingModel:
         if key in self.profile:
             prov = "table-extracted" if key in TABLE_EXTRACTED else "table-measured"
             return TimingEntry(domain, points, self.profile[key], prov)
-        if self.allow_interpolation:
-            return self._interpolate(domain, points)
         raise UncalibratedSizeError(f"no calibrated timing for {domain} at {points} points")
-
-    def _interpolate(self, domain: str, points: int) -> TimingEntry:
-        sizes = self.calibrated_sizes(domain)
-        if len(sizes) < 2:
-            raise UncalibratedSizeError(f"cannot interpolate for {domain}")
-        xs = [math.log2(s) for s in sizes]
-        ys = [math.log2(self.profile[(domain, s)]) for s in sizes]
-        t = np.interp(math.log2(points), xs, ys)
-        return TimingEntry(domain, points, float(2.0 ** t), "interpolated")
 
     def acceleration_factor(self, points: int) -> float:
         apu = self.lookup_exec_time(APU, points)
@@ -122,12 +105,11 @@ class TimingModel:
         if runs < 1:
             raise ValueError("runs must be >= 1")
         rng = np.random.default_rng(seed)
-        plan = fft_engines.get_plan(points)
         durations = []
         for _ in range(runs):
             x = (rng.uniform(-0.5, 0.5, points) + 1j * rng.uniform(-0.5, 0.5, points))
             t0 = time.perf_counter()
-            fft_engines.fft_float(x, plan=plan)
+            fft_engines.fft_float(x)
             t1 = time.perf_counter()
             if t1 < t0:
                 raise MeasurementError("monotonic clock went backwards")

@@ -174,6 +174,40 @@ class TestRun:
         code, _ = run_cli(["run", str(scenario)])
         assert code == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("scenario, trace_text", [
+        ({"seed": "abc"}, None),
+        ({"seed": True}, None),
+        ({"jitter": -0.1}, None),
+        ({"jitter": 2.0}, None),
+        ({"jitter": "0.1"}, None),
+        ({"max_events": 0}, None),
+        ({"max_events": 2.5}, None),
+        ({"idle_timeout": 0}, None),
+        ({"fast_forward": "yes"}, None),
+        ({"trace": [[0, -1]]}, None),
+        ({"trace": [[-1, 0]]}, None),
+        ({"trace": [[0, 1.5]]}, None),
+        ({"trace": [[0]]}, None),
+        ({"trace": "0 1"}, None),
+        ({"trace_path": ["trace.txt"]}, None),
+        ({"listen": 9000}, None),
+        ({"telemetry_file": ["out.jsonl"]}, None),
+        ({"telemetry_socket": 1}, None),
+        ({"profile": {"timing_us": {}}}, None),
+        ({}, "0 1\n0 -1\n"),
+        ({}, "-5 1\n"),
+    ])
+    def test_bad_run_input_is_config_error(self, tmp_path, scenario, trace_text):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["run", str(path)]
+        if trace_text is not None:
+            trace = tmp_path / "trace.txt"
+            trace.write_text(trace_text)
+            argv += ["--trace", str(trace)]
+        code, _ = run_cli(argv)
+        assert code == cli.EXIT_CONFIG_ERROR
+
     def test_runtime_error_exit_code(self):
         code, _ = run_cli(["run", "--trace", "/does/not/exist"])
         assert code == cli.EXIT_RUNTIME_ERROR

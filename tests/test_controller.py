@@ -148,7 +148,8 @@ class TestProcessEvent:
 
         def run():
             c = ctl.Controller(seed=7)
-            return ctl.run_trace(replay(trace, fast_forward=True), c)
+            return [c.process_event(event)[2]
+                    for event in replay(trace, fast_forward=True)]
 
         first, second = run(), run()
         assert [(r.state, r.action, r.exec_time_us, r.mse) for r in first] == \

@@ -40,6 +40,7 @@ class TestWireFormat:
         '{"faces":true,"seq":1,"timestamp_us":0}',
         '{"seq":1,"timestamp_us":0}',
         '{"faces":1,"seq":1}',
+        '{"faces":1,"seq":-1,"timestamp_us":0}',
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(eb.ProtocolError):

@@ -62,10 +62,6 @@ class TestSerialization:
         assert "last_mse" not in line
         assert tm.parse_sample(line) == sample
 
-    def test_csv_row_matches_header(self, power):
-        sample = make_samples([2], power)[0]
-        assert len(tm.csv_row(sample).split(",")) == len(tm.csv_header().split(","))
-
 
 class TestExport:
     def test_file_export_round_trip(self, power, tmp_path):
@@ -82,14 +78,6 @@ class TestExport:
         tm.export_to_file(samples[:1], path)
         tm.export_to_file(samples[1:], path)
         assert len(path.read_text().splitlines()) == 2
-
-    def test_csv_export(self, power, tmp_path):
-        samples = make_samples([2, 3], power)
-        path = tmp_path / "telemetry.csv"
-        assert tm.export_to_file(samples, path, csv=True) == 2
-        lines = path.read_text().splitlines()
-        assert lines[0] == tm.csv_header().strip()
-        assert len(lines) == 3
 
     def test_empty_stream(self, power, tmp_path):
         assert tm.export_to_file([], tmp_path / "x.jsonl") == 0
@@ -131,19 +119,3 @@ class TestEnergyAccounting:
         expected = (3676 * 1000 + 4354 * 2000) / 1e6
         assert tm.energy_mj(dwell, power) == expected
 
-
-class TestSampler:
-    def test_periodic_sampling_never_early(self, power):
-        ctrl = Controller(power=power, seed=0)
-        ctrl.process_event(FaceEvent(1, 1, 0))
-        sampler = tm.Sampler(lambda: ctrl.state, power,
-                             period_s=0.02).start()
-        import time
-        time.sleep(0.15)
-        sampler.stop()
-        samples = sampler.drain()
-        assert len(samples) >= 3
-        gaps = [b.timestamp_us - a.timestamp_us
-                for a, b in zip(samples, samples[1:])]
-        assert all(g >= 0.02 * 1e6 * 0.9 for g in gaps)
-        assert all(s.total_mw == 3948 for s in samples)

@@ -38,12 +38,6 @@ class TestLookup:
         with pytest.raises(UncalibratedSizeError):
             model.lookup_exec_time(APU, 512)
 
-    def test_interpolation_is_opt_in(self):
-        model = TimingModel(allow_interpolation=True)
-        entry = model.lookup_exec_time(APU, 512)
-        assert entry.provenance == "interpolated"
-        assert 0.28 < entry.exec_time_us < 50.62
-
 
 class TestAcceleration:
     def test_1024(self, model):
