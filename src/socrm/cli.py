@@ -65,7 +65,7 @@ def _is_optional_str(value) -> bool:
 
 # merged run field -> (validity test, what a valid value is)
 RUN_FIELD_CHECKS = {
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     # a jitter fraction of 1 or more can make a sampled APU time negative
     "jitter": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "max_events": (lambda v: v is None or (_is_int(v) and v >= 1),

@@ -150,17 +150,13 @@ def _rshift_round(v: np.ndarray, bits: int) -> np.ndarray:
     return (v + (1 << (bits - 1))) >> bits
 
 
-def fft_fixed(block: FixedBlock, points: int | None = None,
-              plan: FftPlan | None = None) -> FixedBlock:
+def fft_fixed(block: FixedBlock, points: int | None = None) -> FixedBlock:
     """Radix-2 fixed-point FFT with per-stage scaling by 1/2.
 
     Output represents DFT(x)/N in Q1.15.  All arithmetic is 64-bit integer,
     so results are bit-identical across runs and platforms.
     """
-    if plan is None:
-        if points is None:
-            points = len(block)
-        plan = get_plan(points)
+    plan = get_plan(len(block) if points is None else points)
     n = plan.points
     if len(block) != n:
         raise SizeMismatchError(f"expected {n} samples, got {len(block)}")

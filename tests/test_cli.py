@@ -177,6 +177,7 @@ class TestRun:
     @pytest.mark.parametrize("scenario, trace_text", [
         ({"seed": "abc"}, None),
         ({"seed": True}, None),
+        ({"seed": -1}, None),
         ({"jitter": -0.1}, None),
         ({"jitter": 2.0}, None),
         ({"jitter": "0.1"}, None),
