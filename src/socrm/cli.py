@@ -2,7 +2,7 @@
 
 Subcommands:
   run     drive the controller from a replayed trace or a live socket,
-          stream telemetry, print the end-of-run summary
+          print the end-of-run summary and write telemetry when the run ends
   tables  render the calibration tables (timing, power, latency budget)
           from the live models
   verify  run the invariant self-checks
@@ -203,6 +203,16 @@ def cmd_run(args, out=None) -> int:
     cfg = _merge_run_config(args)
     timing, power = models_from_profile(
         cfg["profile"], jitter_pct=cfg["jitter"], seed=cfg["seed"])
+    missing = [config for config in controller.RULES.values()
+               if config not in timing.profile or config not in power.profile]
+    if missing:
+        raise ConfigError(f"profile {cfg['profile']} has no timing or power for {missing}")
+    sinks = []
+    if cfg["telemetry_file"]:
+        sinks.append(("file", telemetry.export_to_file, cfg["telemetry_file"]))
+    if cfg["telemetry_socket"]:
+        sinks.append(("socket", telemetry.export_to_socket,
+                      _parse_address(cfg["telemetry_socket"])))
     ctrl = controller.Controller(timing, power, mechanism=cfg["mechanism"],
                                  seed=cfg["seed"])
     events, server = _event_source(cfg, out)
@@ -221,16 +231,19 @@ def cmd_run(args, out=None) -> int:
         if server is not None:
             server.stop()
 
-    delivered = []
-    if cfg["telemetry_file"]:
-        delivered.append(("file", telemetry.export_to_file(
-            samples, cfg["telemetry_file"])))
-    if cfg["telemetry_socket"]:
-        delivered.append(("socket", telemetry.export_to_socket(
-            samples, _parse_address(cfg["telemetry_socket"]))))
+    # each sink is tried on its own; a failed one still reports what it delivered
+    delivered, failures = [], []
+    for sink, export, target in sinks:
+        try:
+            delivered.append((sink, export(samples, target)))
+        except telemetry.ExportError as exc:
+            delivered.append((sink, exc.delivered))
+            failures.append(exc)
 
     _write_summary(out, reports, power, delivered, server)
-    return EXIT_OK
+    for exc in failures:
+        print(f"runtime error: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME_ERROR if failures else EXIT_OK
 
 
 def _write_summary(out, reports, power, delivered, server):

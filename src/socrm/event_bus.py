@@ -10,10 +10,11 @@ source for tests and demos.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import selectors
 import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -42,44 +43,53 @@ def encode_event(event: FaceEvent) -> str:
 
 
 def decode_event(line: str) -> FaceEvent:
+    """Parse one wire line; a line that is not an event raises ProtocolError."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int over the digit limit
         raise ProtocolError(f"not valid JSON: {line!r}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"not an object: {line!r}")
-    try:
-        faces = obj["faces"]
-        seq = obj["seq"]
-        timestamp_us = obj["timestamp_us"]
-    except KeyError as exc:
-        raise ProtocolError(f"missing field {exc} in {line!r}") from None
-    for name, value in (("faces", faces), ("seq", seq), ("timestamp_us", timestamp_us)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProtocolError(f"{name} must be an integer in {line!r}")
-        if value < 0:
-            raise ProtocolError(f"{name} must be non-negative in {line!r}")
-    return FaceEvent(faces, seq, timestamp_us)
+    values = []
+    for name in ("faces", "seq", "timestamp_us"):
+        if name not in obj:
+            raise ProtocolError(f"missing field {name!r} in {line!r}")
+        value = obj[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ProtocolError(f"{name} must be a non-negative integer in {line!r}")
+        values.append(value)
+    return FaceEvent(*values)
+
+
+# an event record is under 100 bytes; a longer unterminated tail is not one
+MAX_LINE_BYTES = 1 << 16
+
+
+@dataclass
+class _Connection:
+    addr: tuple
+    tail: bytes = b""  # bytes after the last newline
+    last_seq: int | None = None
 
 
 class EventServer:
     """Accepts emitter connections and yields FaceEvents in arrival order.
 
-    Malformed lines and per-connection monotonicity violations are counted
-    and skipped; they never terminate the server.
+    Single-threaded: `get()` first takes in whatever the listening socket and
+    the connections hold, through one selector, so the queue and the counters
+    advance only while the consumer calls it; bytes that arrive in between
+    wait in the kernel's socket buffers.  Malformed lines, per-connection seq
+    regressions and unterminated lines over MAX_LINE_BYTES (which also close
+    their connection) are counted and skipped, never fatal.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
-        self.host = host
-        self.port = port
-        self.capacity = capacity
+        self._bind_address = (host, port)
         self.malformed_count = 0
         self.dropped_count = 0
-        self._queue: deque = deque()
-        self._cond = threading.Condition()
+        self._queue: deque = deque(maxlen=capacity)
         self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
+        self._selector: selectors.BaseSelector | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -87,92 +97,79 @@ class EventServer:
         return self._sock.getsockname()[:2]
 
     def start(self):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((self.host, self.port))
-        except OSError:
-            sock.close()
-            raise
-        sock.listen(8)
-        self._sock = sock
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._sock = socket.create_server(self._bind_address, backlog=8)
+        self._sock.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._sock, selectors.EVENT_READ, self._accept)
         return self
 
     def stop(self):
-        self._stopping.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        with self._cond:
-            self._cond.notify_all()
+        """Close the listener, every connection and the selector; idempotent."""
+        if self._selector is None:
+            return
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._selector = None
 
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                break
-            logger.debug("connection from %s", addr)
-            t = threading.Thread(target=self._reader, args=(conn, addr), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _reader(self, conn: socket.socket, addr):
-        last_seq = None
+    def _accept(self, sock: socket.socket):
         try:
-            with conn, conn.makefile("r", encoding="utf-8", errors="replace") as lines:
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = decode_event(line)
-                    except ProtocolError as exc:
-                        self.malformed_count += 1
-                        logger.debug("malformed line from %s: %s", addr, exc)
-                        continue
-                    if last_seq is not None and event.seq <= last_seq:
-                        self.malformed_count += 1
-                        logger.debug("non-monotonic seq from %s: %s", addr, event)
-                        continue
-                    last_seq = event.seq
-                    self._push(event)
-        except OSError as exc:
-            logger.debug("connection %s dropped: %s", addr, exc)
+            conn, addr = sock.accept()
+        except OSError:  # the client gave up before it was accepted
+            return
+        logger.debug("connection from %s", addr)
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ,
+                                functools.partial(self._read, _Connection(addr)))
 
-    def _push(self, event: FaceEvent):
-        with self._cond:
-            if len(self._queue) >= self.capacity:
-                self._queue.popleft()
+    def _read(self, peer: _Connection, conn: socket.socket):
+        try:
+            chunk = conn.recv(MAX_LINE_BYTES)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            logger.debug("connection %s dropped: %s", peer.addr, exc)
+            chunk, peer.tail = b"", b""
+        *lines, peer.tail = (peer.tail + chunk).split(b"\n")
+        for raw in lines if chunk else [*lines, peer.tail]:  # at end of stream, the tail too
+            line = raw.decode("utf-8", "replace").strip()
+            if not line:
+                continue
+            try:
+                event = decode_event(line)
+                if peer.last_seq is not None and event.seq <= peer.last_seq:
+                    raise ProtocolError(f"seq {event.seq} not above {peer.last_seq}")
+            except ProtocolError as exc:
+                self.malformed_count += 1
+                logger.debug("malformed line from %s: %s", peer.addr, exc)
+                continue
+            peer.last_seq = event.seq
+            if len(self._queue) == self._queue.maxlen:
                 self.dropped_count += 1
             self._queue.append(event)
-            self._cond.notify()
+        if len(peer.tail) > MAX_LINE_BYTES:
+            self.malformed_count += 1
+            logger.debug("line over %d bytes from %s", MAX_LINE_BYTES, peer.addr)
+        elif chunk:
+            return
+        self._selector.unregister(conn)
+        conn.close()
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
         """Next event in FIFO order, or None on timeout / after stop."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._queue:
-                if self._stopping.is_set():
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-            return self._queue.popleft()
+        wait = 0.0
+        while self._selector is not None and (wait is None or wait >= 0):
+            for key, _ in self._selector.select(wait):
+                key.data(key.fileobj)
+            if self._queue:
+                return self._queue.popleft()
+            wait = None if deadline is None else deadline - time.monotonic()
+        return None
 
     def events(self, timeout: float | None = None):
         """Iterate events until stop or a get() timeout."""
-        while True:
-            event = self.get(timeout)
-            if event is None:
-                return
-            yield event
+        return iter(lambda: self.get(timeout), None)
 
 
 class Emitter:

@@ -9,12 +9,18 @@ device's calibration.  Layout:
       "power_mw":  {"APU": {"8": [425, 2064, 1187], ...}, "PL": {...}},
       "static_mw": {"APU": 2024, "PL": 1187}
     }
+
+Every key and value is checked: FFT sizes are powers of two >= 2, times are
+finite numbers > 0, power rows are three finite numbers >= 0 and static
+powers are finite numbers >= 0.  Anything else is a ProfileError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
+from .fft_engines import APU, PL
 from .power_model import PowerModel
 from .timing_model import TimingModel
 
@@ -23,11 +29,38 @@ class ProfileError(ValueError):
     """Profile file is missing or malformed."""
 
 
-def _flatten(section: dict, convert) -> dict:
+def _number(value, where: str, positive: bool = False) -> float:
+    """A finite JSON number (not a bool), >= 0 or, if `positive`, > 0."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise ValueError(f"{where} must be a finite number {'>' if positive else '>='} 0,"
+                         f" got {value!r}")
+    return float(value)
+
+
+def _power_row(value, where: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{where} must be a [ddr_mw, apu_mw, pl_mw] row, got {value!r}")
+    return tuple(_number(v, where) for v in value)
+
+
+def _domains(obj, where: str) -> dict:
+    if not isinstance(obj, dict) or not set(obj) <= {APU, PL}:
+        raise ValueError(f"{where} must be an object keyed by {APU!r}/{PL!r}")
+    return obj
+
+
+def _flatten(section, name: str, convert) -> dict:
     flat = {}
-    for domain, by_points in section.items():
-        for points, value in by_points.items():
-            flat[(domain, int(points))] = convert(value)
+    for domain, by_points in _domains(section, name).items():
+        if not isinstance(by_points, dict):
+            raise ValueError(f"{name}.{domain} must be an object keyed by FFT size")
+        for key, value in by_points.items():
+            points = int(key) if key.isascii() and key.isdigit() else 0
+            if points < 2 or points & (points - 1):
+                raise ValueError(f"{name}.{domain}: FFT size must be a power of two"
+                                 f" >= 2, got {key!r}")
+            flat[(domain, points)] = convert(value, f"{name}.{domain}.{key}")
     return flat
 
 
@@ -35,17 +68,22 @@ def load_profile(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProfileError(f"cannot load profile {path}: {exc}") from exc
+    if not isinstance(obj, dict) or not set(obj) <= {"timing_us", "power_mw", "static_mw"}:
+        raise ProfileError(f"profile {path} must be an object with only the keys"
+                           " timing_us, power_mw and static_mw")
     out = {}
     try:
         if "timing_us" in obj:
-            out["timing"] = _flatten(obj["timing_us"], float)
+            out["timing"] = _flatten(obj["timing_us"], "timing_us",
+                                     lambda v, where: _number(v, where, positive=True))
         if "power_mw" in obj:
-            out["power"] = _flatten(obj["power_mw"], lambda v: tuple(float(x) for x in v))
+            out["power"] = _flatten(obj["power_mw"], "power_mw", _power_row)
         if "static_mw" in obj:
-            out["static"] = {k: float(v) for k, v in obj["static_mw"].items()}
-    except (TypeError, ValueError, AttributeError) as exc:
+            out["static"] = {domain: _number(v, f"static_mw.{domain}") for domain, v
+                             in _domains(obj["static_mw"], "static_mw").items()}
+    except (ValueError, OverflowError) as exc:
         raise ProfileError(f"malformed profile {path}: {exc}") from exc
     return out
 

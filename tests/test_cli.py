@@ -123,6 +123,23 @@ class TestRun:
         assert code == 0
         assert len(received) == 4
 
+    def test_failed_sinks_keep_the_summary(self, tmp_path, capsys):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        host, port = sock.getsockname()
+        sock.close()
+        code, out = run_cli(["run", "--telemetry-socket", f"{host}:{port}",
+                             "--telemetry-file", str(tmp_path / "missing" / "t.jsonl")])
+        assert code == cli.EXIT_RUNTIME_ERROR
+        assert "== action log ==" in out
+        assert "ScaleOnly ('PL', 2048) -> ('PL', 4096)" in out
+        assert "events processed: 4" in out
+        assert "telemetry delivered (file): 0" in out
+        assert "telemetry delivered (socket): 0" in out
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(line.startswith("runtime error: ") for line in errors)
+
     def test_live_mode_with_external_emitter(self):
         # bind our own server first to learn a free port, then reuse it
         probe = socket.socket()
@@ -212,6 +229,63 @@ class TestRun:
     def test_runtime_error_exit_code(self):
         code, _ = run_cli(["run", "--trace", "/does/not/exist"])
         assert code == cli.EXIT_RUNTIME_ERROR
+
+
+def _full_profile():
+    from socrm.power_model import DEFAULT_POWER_PROFILE, STATIC_MW
+    from socrm.timing_model import DEFAULT_TIMING_PROFILE
+
+    def nest(flat):
+        out = {}
+        for (domain, points), value in flat.items():
+            out.setdefault(domain, {})[str(points)] = value
+        return out
+    return {"timing_us": nest(DEFAULT_TIMING_PROFILE),
+            "power_mw": nest({k: list(v) for k, v in DEFAULT_POWER_PROFILE.items()}),
+            "static_mw": dict(STATIC_MW)}
+
+
+def _edited(path, value):
+    """The full default profile with the field at `path` set to `value`."""
+    profile = _full_profile()
+    node = profile
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return profile
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param(_edited(["timing"], {}), id="unknown-top-level-key"),
+    pytest.param({"timing_us": {"APU": {"8": 1.0}, "PL": {"8": 0.5}}}, id="timing-only-at-8"),
+    pytest.param({"power_mw": {"APU": {"8": [425, 2064, 1187]}}}, id="power-only-at-apu-8"),
+    pytest.param(_edited(["power_mw", "APU", "8"], [425, 2064]), id="power-row-of-two"),
+    pytest.param(_edited(["power_mw", "PL", "2048"], [1, 2, 3, 4]), id="power-row-of-four"),
+    pytest.param(_edited(["power_mw", "APU", "8"], [-425, 2064, 1187]), id="negative-power"),
+    pytest.param(_edited(["power_mw", "APU", "8"], ["425", 2064, 1187]), id="string-power"),
+    pytest.param(_edited(["timing_us", "APU", "8"], 0), id="zero-time"),
+    pytest.param(_edited(["timing_us", "APU", "8"], -1.0), id="negative-time"),
+    pytest.param(_edited(["timing_us", "APU", "8"], True), id="bool-time"),
+    pytest.param(_edited(["timing_us", "APU", "8"], "0.28"), id="string-time"),
+    pytest.param(_edited(["timing_us", "APU", "8"], float("nan")), id="nan-time"),
+    pytest.param(_edited(["timing_us", "APU", "7"], 1.0), id="size-not-power-of-two"),
+    pytest.param(_edited(["timing_us", "APU", "1"], 1.0), id="size-one"),
+    pytest.param(_edited(["timing_us", "GPU"], {"8": 1.0}), id="unknown-domain"),
+    pytest.param(_edited(["static_mw", "PL"], -1), id="negative-static"),
+    pytest.param(_edited(["static_mw", "APU"], True), id="bool-static"),
+])
+def test_hostile_profile_is_config_error(tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code, _ = run_cli(["run", "--profile", str(path)])
+    assert code == cli.EXIT_CONFIG_ERROR
+
+
+def test_full_profile_runs(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(_full_profile()))
+    assert run_cli(["run", "--profile", str(path)]) == run_cli(["run"])
 
 
 class TestEmit:

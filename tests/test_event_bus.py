@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -41,10 +42,22 @@ class TestWireFormat:
         '{"seq":1,"timestamp_us":0}',
         '{"faces":1,"seq":1}',
         '{"faces":1,"seq":-1,"timestamp_us":0}',
+        pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param('{"faces":' + "9" * 5000 + ',"seq":1,"timestamp_us":0}',
+                     id="5000-digit-faces"),
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(eb.ProtocolError):
             eb.decode_event(line)
+
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_any_text_decodes_or_raises_protocol_error(self, line):
+        try:
+            event = eb.decode_event(line)
+        except eb.ProtocolError:
+            return
+        assert isinstance(event, eb.FaceEvent)
 
     @given(events_strategy)
     @settings(max_examples=200)
@@ -120,14 +133,59 @@ class TestServer:
             with eb.Emitter(srv.address) as emitter:
                 for f in range(10):
                     emitter.emit(f)
-            deadline = time.monotonic() + 2.0
-            while srv.dropped_count < 5 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert srv.dropped_count == 5
             got = [srv.get(timeout=1.0) for _ in range(5)]
             assert [e.faces for e in got] == [5, 6, 7, 8, 9]
+            assert srv.dropped_count == 5
         finally:
             srv.stop()
+
+    def test_unterminated_line_closes_only_its_connection(self, server):
+        hog = socket.create_connection(server.address)
+
+        def flood():
+            try:
+                hog.sendall(b"x" * (1 << 20))
+            except OSError:  # the server closes the connection mid-send
+                pass
+
+        sender = threading.Thread(target=flood)
+        sender.start()
+        try:
+            with eb.Emitter(server.address) as emitter:
+                sent = emitter.emit(3)
+            assert server.get(timeout=2.0) == sent
+            deadline = time.monotonic() + 5.0
+            while server.malformed_count == 0 and time.monotonic() < deadline:
+                server.get(timeout=0.05)
+        finally:
+            sender.join(timeout=5.0)
+            hog.close()
+        assert not sender.is_alive()
+        assert server.malformed_count == 1
+
+    def test_no_threads_started(self):
+        before = threading.active_count()
+        srv = eb.EventServer("127.0.0.1", 0).start()
+        try:
+            assert threading.active_count() == before
+            with eb.Emitter(srv.address) as a, eb.Emitter(srv.address) as b:
+                a.emit(1)
+                b.emit(2)
+                got = {srv.get(timeout=2.0).faces, srv.get(timeout=2.0).faces}
+            assert got == {1, 2}
+            assert threading.active_count() == before
+        finally:
+            srv.stop()
+
+    def test_stop_closes_client_connections(self):
+        srv = eb.EventServer("127.0.0.1", 0).start()
+        with socket.create_connection(srv.address, timeout=2.0) as client:
+            client.sendall(b'{"faces":1,"seq":1,"timestamp_us":0}\n')
+            assert srv.get(timeout=2.0).faces == 1
+            srv.stop()
+            assert client.recv(1) == b""
+        srv.stop()  # idempotent
+        assert srv.get(timeout=0.1) is None
 
     def test_bind_failure_surfaces(self, server):
         clash = eb.EventServer(*server.address)
