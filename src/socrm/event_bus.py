@@ -16,6 +16,7 @@ import logging
 import selectors
 import socket
 import time
+import types
 from collections import deque
 from dataclasses import dataclass
 
@@ -50,26 +51,22 @@ def decode_event(line: str) -> FaceEvent:
         raise ProtocolError(f"not valid JSON: {line!r}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"not an object: {line!r}")
-    values = []
-    for name in ("faces", "seq", "timestamp_us"):
-        if name not in obj:
-            raise ProtocolError(f"missing field {name!r} in {line!r}")
-        value = obj[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ProtocolError(f"{name} must be a non-negative integer in {line!r}")
-        values.append(value)
-    return FaceEvent(*values)
+    try:
+        faces = obj["faces"]
+        seq = obj["seq"]
+        timestamp_us = obj["timestamp_us"]
+    except KeyError as exc:
+        raise ProtocolError(f"missing field {exc} in {line!r}") from None
+    for name, value in (("faces", faces), ("seq", seq), ("timestamp_us", timestamp_us)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ProtocolError(f"{name} must be an integer in {line!r}")
+        if value < 0:
+            raise ProtocolError(f"{name} must be non-negative in {line!r}")
+    return FaceEvent(faces, seq, timestamp_us)
 
 
-# an event record is under 100 bytes; a longer unterminated tail is not one
+# an event record is under 100 bytes; a longer line is not one
 MAX_LINE_BYTES = 1 << 16
-
-
-@dataclass
-class _Connection:
-    addr: tuple
-    tail: bytes = b""  # bytes after the last newline
-    last_seq: int | None = None
 
 
 class EventServer:
@@ -79,8 +76,8 @@ class EventServer:
     the connections hold, through one selector, so the queue and the counters
     advance only while the consumer calls it; bytes that arrive in between
     wait in the kernel's socket buffers.  Malformed lines, per-connection seq
-    regressions and unterminated lines over MAX_LINE_BYTES (which also close
-    their connection) are counted and skipped, never fatal.
+    regressions and lines over MAX_LINE_BYTES, terminated or not (which also
+    close their connection), are counted and skipped, never fatal.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
@@ -119,10 +116,11 @@ class EventServer:
             return
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
-        self._selector.register(conn, selectors.EVENT_READ,
-                                functools.partial(self._read, _Connection(addr)))
+        # tail: the bytes after the last newline; last_seq: the last one queued
+        peer = types.SimpleNamespace(addr=addr, tail=b"", last_seq=None)
+        self._selector.register(conn, selectors.EVENT_READ, functools.partial(self._read, peer))
 
-    def _read(self, peer: _Connection, conn: socket.socket):
+    def _read(self, peer: types.SimpleNamespace, conn: socket.socket):
         try:
             chunk = conn.recv(MAX_LINE_BYTES)
         except BlockingIOError:
@@ -131,7 +129,13 @@ class EventServer:
             logger.debug("connection %s dropped: %s", peer.addr, exc)
             chunk, peer.tail = b"", b""
         *lines, peer.tail = (peer.tail + chunk).split(b"\n")
-        for raw in lines if chunk else [*lines, peer.tail]:  # at end of stream, the tail too
+        if not chunk or len(peer.tail) > MAX_LINE_BYTES:  # the tail is a line too
+            lines.append(peer.tail)
+        for raw in lines:
+            if len(raw) > MAX_LINE_BYTES:  # not an event stream: close it
+                self.malformed_count += 1
+                logger.debug("line over %d bytes from %s", MAX_LINE_BYTES, peer.addr)
+                break
             line = raw.decode("utf-8", "replace").strip()
             if not line:
                 continue
@@ -147,11 +151,9 @@ class EventServer:
             if len(self._queue) == self._queue.maxlen:
                 self.dropped_count += 1
             self._queue.append(event)
-        if len(peer.tail) > MAX_LINE_BYTES:
-            self.malformed_count += 1
-            logger.debug("line over %d bytes from %s", MAX_LINE_BYTES, peer.addr)
-        elif chunk:
-            return
+        else:
+            if chunk:
+                return
         self._selector.unregister(conn)
         conn.close()
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import socket
@@ -139,6 +140,29 @@ class TestRun:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2
         assert all(line.startswith("runtime error: ") for line in errors)
+
+    def test_run_loop_holds_off_the_cyclic_collector(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(f"500 {i % 5}\n" for i in range(200)))
+        args = cli._build_parser().parse_args(["run", "--trace", str(trace), "--jitter", "0.1"])
+        collecting = []
+        process_event = cli.controller.Controller.process_event
+        monkeypatch.setattr(cli.controller.Controller, "process_event",
+                            lambda self, event: collecting.append(gc.isenabled())
+                            or process_event(self, event))
+        assert gc.isenabled()
+        assert cli.cmd_run(args, out=io.StringIO()) == 0
+        assert collecting == [False] * 200
+        assert gc.isenabled()
+        # and the run leaves the collector nothing to free
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.cmd_run(args, out=io.StringIO()) == 0
+            assert gc.collect() == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_live_mode_with_external_emitter(self):
         # bind our own server first to learn a free port, then reuse it

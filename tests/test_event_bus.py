@@ -163,6 +163,33 @@ class TestServer:
         assert not sender.is_alive()
         assert server.malformed_count == 1
 
+    def test_overlong_line_closes_its_connection(self, server):
+        # valid JSON, but longer than MAX_LINE_BYTES once padded
+        padded = b'{"faces":2,"seq":2,' + b" " * 100_000 + b'"timestamp_us":0}\n'
+        client = socket.create_connection(server.address)
+
+        def send():
+            try:
+                client.sendall(b'{"faces":1,"seq":1,"timestamp_us":0}\n' + padded
+                               + b'{"faces":3,"seq":3,"timestamp_us":0}\n')
+            except OSError:  # the server closes the connection mid-send
+                pass
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            assert server.get(timeout=2.0).faces == 1
+            deadline = time.monotonic() + 5.0
+            while server.malformed_count == 0 and time.monotonic() < deadline:
+                assert server.get(timeout=0.05) is None
+            with eb.Emitter(server.address) as emitter:
+                sent = emitter.emit(4)
+            assert server.get(timeout=2.0) == sent
+        finally:
+            sender.join(timeout=5.0)
+            client.close()
+        assert server.malformed_count == 1
+
     def test_no_threads_started(self):
         before = threading.active_count()
         srv = eb.EventServer("127.0.0.1", 0).start()
