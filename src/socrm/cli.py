@@ -41,8 +41,8 @@ class ConfigError(ValueError):
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ConfigError(f"address must be host:port, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"address must be host:port with a port in 0-65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
@@ -84,7 +84,8 @@ def _load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"scenario {path} must be a JSON object")

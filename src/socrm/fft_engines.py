@@ -6,11 +6,24 @@ numerical emulation of a 16-bit fixed-point streaming FFT core: Q1.15
 samples, radix-2 decimation-in-time, per-stage scaling by 1/2 so overflow is
 impossible by construction.  Its bit-reversal permutation and Q1.15 twiddle
 factors are precomputed once per size in an immutable plan.
+
+The core's butterfly stages run as one compiled C function (`_q15.c`, called
+through `ctypes`), built with the system C compiler on the first `fft_fixed`
+call and cached in the package's `__pycache__`.  Without a compiler, or if the
+build fails, they run as the NumPy loop `_stages_numpy`, which is the readable
+definition of the core; both give bit-identical output (`active_kernel` names
+the one in use).
 """
 
 from __future__ import annotations
 
+import functools
+import logging
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +33,8 @@ PL = "PL"  # hardware domain: the programmable-logic FFT core
 Q15_SCALE = 1 << 15
 Q15_MIN = -(1 << 15)
 Q15_MAX = (1 << 15) - 1
+
+logger = logging.getLogger(__name__)
 
 
 class FftError(ValueError):
@@ -122,23 +137,20 @@ class FixedBlock:
 
 
 def quantize(x) -> FixedBlock:
-    """Round-to-nearest Q1.15 quantization, ties away from zero, saturating."""
-    a = np.asarray(x, dtype=np.complex128)
-    raw_re = _q15_round(a.real)
-    raw_im = _q15_round(a.imag)
-    saturated = int(np.sum(raw_re > Q15_MAX) + np.sum(raw_re < Q15_MIN)
-                    + np.sum(raw_im > Q15_MAX) + np.sum(raw_im < Q15_MIN))
-    return FixedBlock(
-        np.clip(raw_re, Q15_MIN, Q15_MAX).astype(np.int64),
-        np.clip(raw_im, Q15_MIN, Q15_MAX).astype(np.int64),
-        saturated,
-    )
+    """Round-to-nearest Q1.15 quantization, ties away from zero, saturating.
 
-
-def _q15_round(v: np.ndarray) -> np.ndarray:
+    NaN or Inf is an `FftError`.
+    """
+    a = np.ascontiguousarray(x, dtype=np.complex128)
+    flat = a.view(np.float64)  # re, im interleaved
+    if not np.isfinite(flat).all():
+        raise FftError("input contains NaN or Inf")
     # round half away from zero (np.round would round half to even)
-    scaled = v * Q15_SCALE
-    return np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5)).astype(np.int64)
+    scaled = flat * Q15_SCALE
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    saturated = int(np.count_nonzero((rounded > Q15_MAX) | (rounded < Q15_MIN)))
+    raw = np.clip(rounded, Q15_MIN, Q15_MAX).astype(np.int64).reshape(*a.shape, 2)
+    return FixedBlock(raw[..., 0], raw[..., 1], saturated)
 
 
 def dequantize(block: FixedBlock) -> np.ndarray:
@@ -154,14 +166,32 @@ def fft_fixed(block: FixedBlock, points: int | None = None) -> FixedBlock:
     """Radix-2 fixed-point FFT with per-stage scaling by 1/2.
 
     Output represents DFT(x)/N in Q1.15.  All arithmetic is 64-bit integer,
-    so results are bit-identical across runs and platforms.
+    so results are bit-identical across runs and platforms, and between the
+    compiled stage loop and the NumPy one (`active_kernel`).
     """
     plan = get_plan(len(block) if points is None else points)
     n = plan.points
-    if len(block) != n:
-        raise SizeMismatchError(f"expected {n} samples, got {len(block)}")
-    a_re = np.asarray(block.re, dtype=np.int64)[plan.bitrev]
-    a_im = np.asarray(block.im, dtype=np.int64)[plan.bitrev]
+    re = np.asarray(block.re, dtype=np.int64)
+    im = np.asarray(block.im, dtype=np.int64)
+    if re.shape != (n,) or im.shape != (n,):
+        raise SizeMismatchError(f"expected {n} samples, got shapes {re.shape} and {im.shape}")
+    a_re, a_im = re[plan.bitrev], im[plan.bitrev]
+    kernel = _load_kernel()
+    if kernel is None:
+        a_re, a_im = _stages_numpy(a_re, a_im, plan)
+    else:
+        # fresh contiguous int64 copies, transformed in place
+        kernel(a_re.ctypes.data, a_im.ctypes.data,
+               plan.twiddles_q15_re.ctypes.data, plan.twiddles_q15_im.ctypes.data, n)
+    return FixedBlock(a_re, a_im, block.saturated)
+
+
+def _stages_numpy(a_re: np.ndarray, a_im: np.ndarray, plan: FftPlan):
+    """The core's butterfly stages on bit-reversed input, then saturation.
+
+    The readable definition of the PL core; `_q15.c` is the same loop compiled.
+    """
+    n = plan.points
     half = 1
     while half < n:
         stride = n // (2 * half)
@@ -183,9 +213,70 @@ def fft_fixed(block: FixedBlock, points: int | None = None) -> FixedBlock:
         ).reshape(-1)
         half *= 2
     # rounding at the extreme can land one LSB past full scale; saturate like hardware
-    a_re = np.clip(a_re, Q15_MIN, Q15_MAX)
-    a_im = np.clip(a_im, Q15_MIN, Q15_MAX)
-    return FixedBlock(a_re, a_im, block.saturated)
+    return np.clip(a_re, Q15_MIN, Q15_MAX), np.clip(a_im, Q15_MIN, Q15_MAX)
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_q15.c")
+_COMPILE = ("cc", "-O2", "-fwrapv", "-shared", "-fPIC")
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled stage loop, built on first use; None if it cannot be built.
+
+    The library is cached next to the package's bytecode, under a name keyed by
+    the source and the compile command, and moved into place atomically, so
+    concurrent processes may build it at once.  Where that directory is not
+    writable it is built in a temporary directory for this process alone.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    if shutil.which(_COMPILE[0]) is None:
+        logger.debug("no C compiler; fft_fixed runs the NumPy loop")
+        return None
+    try:
+        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
+                                + " ".join(_COMPILE).encode()).hexdigest()
+        name = f"_q15-{digest[:16]}.so"
+        try:
+            path = _KERNEL_SOURCE.parent / "__pycache__" / name
+            if not path.is_file():
+                path.parent.mkdir(exist_ok=True)
+                _compile(path)
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / name
+                _compile(path)
+                lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError) as exc:
+        logger.warning("cannot build the Q1.15 kernel, fft_fixed runs the NumPy loop: %s", exc)
+        return None
+    kernel = lib.q15_fft
+    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long]
+    kernel.restype = None
+    return kernel
+
+
+def _compile(path: Path) -> None:
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*_COMPILE, "-o", tmp, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def active_kernel() -> str:
+    """The stage loop `fft_fixed` runs: "c" (compiled `_q15.c`) or "numpy"."""
+    return "numpy" if _load_kernel() is None else "c"
 
 
 # Calibrated error model of the fixed-point path, measured against the

@@ -3,7 +3,8 @@
 Each check returns (name, passed, detail); `run_checks` executes all of
 them deterministically.  A fault-injection hook (corrupting one output bin
 of the N=64 transform) exists so the oracle check's sensitivity is itself
-testable.
+testable.  `check_q15_kernel` names the stage loop `fft_fixed` runs and, when
+it is the compiled one, compares it bit for bit with the NumPy loop.
 """
 
 from __future__ import annotations
@@ -76,6 +77,30 @@ def check_fixed_point_bound():
     return ("fixed-point-error-bound", ok, "; ".join(detail))
 
 
+def check_q15_kernel():
+    if fft_engines.active_kernel() == "numpy":
+        return ("q15-kernel", True, "numpy: no compiled kernel, fft_fixed runs the NumPy loop")
+    rng = np.random.default_rng(151617)
+    blocks = mismatched = 0
+    for bits in range(1, 13):
+        n = 1 << bits
+        plan = fft_engines.get_plan(n)
+        alternating = np.where(np.arange(n) % 2 == 0, fft_engines.Q15_MAX, fft_engines.Q15_MIN)
+        for re, im in (
+            (rng.integers(-32768, 32768, n), rng.integers(-32768, 32768, n)),
+            (np.full(n, fft_engines.Q15_MAX), np.full(n, fft_engines.Q15_MAX)),
+            (np.full(n, fft_engines.Q15_MIN), np.full(n, fft_engines.Q15_MIN)),
+            (alternating, alternating[::-1]),
+        ):
+            out = fft_engines.fft_fixed(fft_engines.FixedBlock(re, im))
+            ref_re, ref_im = fft_engines._stages_numpy(re[plan.bitrev], im[plan.bitrev], plan)
+            blocks += 1
+            mismatched += not (np.array_equal(out.re, ref_re) and np.array_equal(out.im, ref_im))
+    return ("q15-kernel", mismatched == 0,
+            f"c (compiled _q15.c): {blocks - mismatched}/{blocks} seeded blocks (N=2..4096) "
+            "bit-identical to the NumPy loop")
+
+
 def check_rule_map():
     configs = [controller.decide(f) for f in range(0, 64)]
     points = [p for _, p in configs]
@@ -120,6 +145,7 @@ ALL_CHECKS = (
     check_parseval,
     check_round_trip,
     check_fixed_point_bound,
+    check_q15_kernel,
     check_rule_map,
     check_power_additivity,
     check_budget_arithmetic,

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import shutil
 import socket
 import threading
 
@@ -43,7 +44,14 @@ class TestVerify:
         code, out = run_cli(["verify"])
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("[PASS]") == 8
+        assert out.count("[PASS]") == 9
+
+    def test_names_the_active_kernel(self):
+        _, out = run_cli(["verify"])
+        if shutil.which("cc"):
+            assert "[PASS] q15-kernel: c (compiled _q15.c): 48/48 seeded blocks" in out
+        else:
+            assert "[PASS] q15-kernel: numpy" in out
 
     def test_fault_injection_fails_only_oracle(self):
         code, out = run_cli(["verify", "--inject-fault"])
@@ -247,6 +255,25 @@ class TestRun:
             trace = tmp_path / "trace.txt"
             trace.write_text(trace_text)
             argv += ["--trace", str(trace)]
+        code, _ = run_cli(argv)
+        assert code == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param('{"seed": ' + "9" * 5000 + "}", id="5000-digit-seed"),
+    ])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, _ = run_cli(["run", str(path)])
+        assert code == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--listen", "127.0.0.1:99999"], id="listen"),
+        pytest.param(["run", "--telemetry-socket", "127.0.0.1:65536"], id="telemetry-socket"),
+        pytest.param(["emit", "--target", "127.0.0.1:70000", "--faces", "1"], id="emit-target"),
+    ])
+    def test_port_out_of_range_is_config_error(self, argv):
         code, _ = run_cli(argv)
         assert code == cli.EXIT_CONFIG_ERROR
 

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,43 @@ class TestQuantize:
         assert fe.quantize([half_lsb + 0j]).re[0] == 1
         assert fe.quantize([-half_lsb + 0j]).re[0] == -1
 
+    def test_matches_two_sided_rounding_reference(self):
+        # the formula quantize used before its single-pass form: it is the
+        # reference on ties, signed zeros, saturating and random inputs
+        def reference(x):
+            a = np.asarray(x, dtype=np.complex128)
+
+            def round_half_away(v):
+                s = v * 32768
+                return np.where(s >= 0, np.floor(s + 0.5), np.ceil(s - 0.5)).astype(np.int64)
+            re, im = round_half_away(a.real), round_half_away(a.imag)
+            saturated = int(np.sum(re > 32767) + np.sum(re < -32768)
+                            + np.sum(im > 32767) + np.sum(im < -32768))
+            return np.clip(re, -32768, 32767), np.clip(im, -32768, 32767), saturated
+
+        k = np.arange(-33000, 33000)
+        rng = np.random.default_rng(13)
+        inputs = [
+            (k + 0.5) / 2 ** 15 + 1j * (k - 0.5) / 2 ** 15,
+            np.nextafter((k + 0.5) / 2 ** 15, np.inf) + 0j,
+            np.nextafter((k + 0.5) / 2 ** 15, -np.inf) + 0j,
+            np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]),
+            np.array([1.0, -1.0, 1 - 2 ** -17, -1 - 2 ** -16, 2.0, -2.0, 1e9, -1e9]) * (1 + 1j),
+        ] + [random_block(rng, 4096, -1.5, 1.5) for _ in range(5)]
+        for x in inputs:
+            block = fe.quantize(x)
+            re, im, saturated = reference(x)
+            assert np.array_equal(block.re, re) and np.array_equal(block.im, im)
+            assert block.saturated == saturated
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan_and_inf(self, bad):
+        for value in (complex(bad, 0.0), complex(0.0, bad)):
+            x = np.zeros(8, dtype=complex)
+            x[5] = value
+            with pytest.raises(fe.FftError):
+                fe.quantize(x)
+
     @given(st.lists(st.tuples(
         st.floats(min_value=-0.999, max_value=0.999),
         st.floats(min_value=-0.999, max_value=0.999)), min_size=1, max_size=64))
@@ -179,6 +218,104 @@ class TestFftFixed:
     def test_rejects_length_mismatch(self):
         with pytest.raises(fe.SizeMismatchError):
             fe.fft_fixed(fe.quantize(np.zeros(8, dtype=complex)), points=16)
+
+
+    def test_rejects_non_1d_halves(self):
+        with pytest.raises(fe.SizeMismatchError):
+            fe.fft_fixed(fe.FixedBlock(np.zeros((8, 0)), np.zeros((8, 0))))
+        with pytest.raises(fe.SizeMismatchError):
+            fe.fft_fixed(fe.FixedBlock(np.zeros(8), np.zeros(4)))
+
+
+def numpy_loop(block):
+    """fft_fixed through the NumPy stage loop, the definition of the core."""
+    plan = fe.get_plan(len(block))
+    re = np.asarray(block.re, dtype=np.int64)[plan.bitrev]
+    im = np.asarray(block.im, dtype=np.int64)[plan.bitrev]
+    return fe._stages_numpy(re, im, plan)
+
+
+def assert_matches_numpy_loop(block):
+    out = fe.fft_fixed(block)
+    re, im = numpy_loop(block)
+    assert np.array_equal(out.re, re) and np.array_equal(out.im, im)
+
+
+ALL_SIZES = [1 << bits for bits in range(1, 13)]
+
+
+class TestQ15Kernel:
+    def test_compiled_kernel_is_active_when_a_compiler_exists(self):
+        # a broken build must not pass quietly on the NumPy fallback
+        expected = "c" if shutil.which("cc") else "numpy"
+        assert fe.active_kernel() == expected
+
+    @pytest.mark.parametrize("n", ALL_SIZES)
+    def test_bit_identical_to_numpy_loop(self, n):
+        rng = np.random.default_rng(n)
+        alternating = np.where(np.arange(n) % 2 == 0, fe.Q15_MAX, fe.Q15_MIN)
+        blocks = [
+            fe.FixedBlock(np.full(n, fe.Q15_MAX), np.full(n, fe.Q15_MAX)),
+            fe.FixedBlock(np.full(n, fe.Q15_MIN), np.full(n, fe.Q15_MIN)),
+            fe.FixedBlock(np.full(n, fe.Q15_MAX), np.full(n, fe.Q15_MIN)),
+            fe.FixedBlock(alternating, alternating[::-1]),
+            fe.FixedBlock(alternating, alternating),
+        ]
+        blocks += [fe.quantize(random_block(rng, n, -1.0, 1.0)) for _ in range(5)]
+        # wrapping int64 arithmetic must agree too, far outside Q1.15
+        blocks += [fe.FixedBlock(rng.integers(-(1 << 62), 1 << 62, n),
+                                 rng.integers(-(1 << 62), 1 << 62, n)) for _ in range(3)]
+        for block in blocks:
+            assert_matches_numpy_loop(block)
+
+    @given(st.sampled_from(ALL_SIZES[:8]).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_on_any_int64_block(self, halves):
+        re, im = (np.array(half, dtype=np.int64) for half in halves)
+        assert_matches_numpy_loop(fe.FixedBlock(re, im))
+
+    def test_leaves_the_callers_block_unchanged(self):
+        rng = np.random.default_rng(14)
+        block = fe.quantize(random_block(rng, 4096))
+        re, im = block.re.copy(), block.im.copy()
+        fe.fft_fixed(block)
+        assert np.array_equal(block.re, re) and np.array_equal(block.im, im)
+        contiguous = fe.FixedBlock(re.copy(), im.copy())
+        fe.fft_fixed(contiguous)
+        assert np.array_equal(contiguous.re, re) and np.array_equal(contiguous.im, im)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_builds_in_a_temporary_directory_if_the_cache_is_not_writable(
+            self, tmp_path, monkeypatch):
+        source = tmp_path / "_q15.c"
+        shutil.copy(fe._KERNEL_SOURCE, source)
+        (tmp_path / "__pycache__").write_text("a file where the cache directory would be")
+        monkeypatch.setattr(fe, "_KERNEL_SOURCE", source)
+        kernel = fe._load_kernel.__wrapped__()
+        assert kernel is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["__pycache__", "_q15.c"]
+        monkeypatch.setattr(fe, "_load_kernel", lambda: kernel)
+        assert_matches_numpy_loop(fe.quantize(random_block(np.random.default_rng(16), 64)))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_failed_build_falls_back_and_leaves_no_files(self, tmp_path, monkeypatch):
+        source = tmp_path / "_q15.c"
+        source.write_text("not C\n")
+        monkeypatch.setattr(fe, "_KERNEL_SOURCE", source)
+        assert fe._load_kernel.__wrapped__() is None
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
+    def test_fallback_gives_identical_output(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        blocks = [fe.quantize(random_block(rng, n)) for n in CONTROLLER_SIZES]
+        active = [fe.fft_fixed(block) for block in blocks]
+        monkeypatch.setattr(fe, "_load_kernel", lambda: None)
+        assert fe.active_kernel() == "numpy"
+        for block, out in zip(blocks, active):
+            fallback = fe.fft_fixed(block)
+            assert np.array_equal(fallback.re, out.re) and np.array_equal(fallback.im, out.im)
+            assert fallback.saturated == out.saturated == block.saturated
 
 
 class TestMse:
