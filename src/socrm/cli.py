@@ -71,7 +71,9 @@ RUN_FIELD_CHECKS = {
     "jitter": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "max_events": (lambda v: v is None or (_is_int(v) and v >= 1),
                    "an integer >= 1 or null"),
-    "idle_timeout": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    # an int beyond the largest float would overflow the server's deadline
+    "idle_timeout": (lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                     "a finite number > 0"),
     "fast_forward": (lambda v: isinstance(v, bool), "true or false"),
     "trace": (lambda v: v is None or _is_trace(v),
               "a list of [delay_us, faces] pairs of non-negative integers"),

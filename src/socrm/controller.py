@@ -147,8 +147,14 @@ class Controller:
     def _execute(self, event: FaceEvent, action: ReconfigAction) -> ExecutionReport:
         state = self._state
         n = state.points
-        # synthetic stand-in for the DDR-played-back input signal
-        x = self._rng.uniform(-0.5, 0.5, n) + 1j * self._rng.uniform(-0.5, 0.5, n)
+        # synthetic stand-in for the DDR-played-back input signal: one draw,
+        # bit-identical to uniform(-0.5, 0.5, n) + 1j * uniform(-0.5, 0.5, n),
+        # which computes -0.5 + 1.0 * u and reads the stream in the same order
+        u = self._rng.random(2 * n)
+        u -= 0.5
+        x = np.empty(n, dtype=np.complex128)
+        x.real = u[:n]
+        x.imag = u[n:]
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))

@@ -68,6 +68,14 @@ def decode_event(line: str) -> FaceEvent:
 # an event record is under 100 bytes; a longer line is not one
 MAX_LINE_BYTES = 1 << 16
 
+# most connections served at once; further clients wait in the listen
+# backlog until one closes
+MAX_CONNECTIONS = 64
+
+# longest single select() wait: get() recomputes what is left of its timeout
+# after each one, so a timeout of any size works
+SELECT_SLICE_S = 0.25
+
 
 class EventServer:
     """Accepts emitter connections and yields FaceEvents in arrival order.
@@ -78,6 +86,12 @@ class EventServer:
     wait in the kernel's socket buffers.  Malformed lines, per-connection seq
     regressions and lines over MAX_LINE_BYTES, terminated or not (which also
     close their connection), are counted and skipped, never fatal.
+
+    The listener is not watched while MAX_CONNECTIONS connections are open,
+    nor after an accept() that failed for another reason than the client
+    giving up (running out of file descriptors, say), which would leave it
+    readable and `get()` spinning.  It is watched again when a connection
+    closes, or after a select() slice in which nothing was ready.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
@@ -87,6 +101,8 @@ class EventServer:
         self._queue: deque = deque(maxlen=capacity)
         self._sock: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
+        self._connections = 0
+        self._listening = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -97,7 +113,7 @@ class EventServer:
         self._sock = socket.create_server(self._bind_address, backlog=8)
         self._sock.setblocking(False)
         self._selector = selectors.DefaultSelector()
-        self._selector.register(self._sock, selectors.EVENT_READ, self._accept)
+        self._watch_listener(True)
         return self
 
     def stop(self):
@@ -106,14 +122,33 @@ class EventServer:
             return
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
+        self._sock.close()  # also when it is not watched
         self._selector.close()
         self._selector = None
+        self._connections = 0
+        self._listening = False
+
+    def _watch_listener(self, watch: bool):
+        if watch == self._listening:
+            return
+        if watch:
+            self._selector.register(self._sock, selectors.EVENT_READ, self._accept)
+        else:
+            self._selector.unregister(self._sock)
+        self._listening = watch
 
     def _accept(self, sock: socket.socket):
         try:
             conn, addr = sock.accept()
-        except OSError:  # the client gave up before it was accepted
+        except (BlockingIOError, ConnectionAbortedError):  # the client gave up
             return
+        except OSError as exc:
+            logger.warning("accept failed, listener set aside: %s", exc)
+            self._watch_listener(False)
+            return
+        self._connections += 1
+        if self._connections >= MAX_CONNECTIONS:
+            self._watch_listener(False)
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
         # tail: the bytes after the last newline; last_seq: the last one queued
@@ -156,17 +191,23 @@ class EventServer:
                 return
         self._selector.unregister(conn)
         conn.close()
+        self._connections -= 1
+        self._watch_listener(True)
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
         """Next event in FIFO order, or None on timeout / after stop."""
         deadline = None if timeout is None else time.monotonic() + timeout
         wait = 0.0
-        while self._selector is not None and (wait is None or wait >= 0):
-            for key, _ in self._selector.select(wait):
+        while self._selector is not None and wait >= 0:
+            ready = self._selector.select(wait)
+            for key, _ in ready:
                 key.data(key.fileobj)
             if self._queue:
                 return self._queue.popleft()
-            wait = None if deadline is None else deadline - time.monotonic()
+            if not ready:
+                self._watch_listener(self._connections < MAX_CONNECTIONS)
+            wait = SELECT_SLICE_S if deadline is None else min(
+                deadline - time.monotonic(), SELECT_SLICE_S)
         return None
 
     def events(self, timeout: float | None = None):

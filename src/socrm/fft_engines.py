@@ -102,7 +102,7 @@ def _as_complex_block(x, points: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1 or len(a) != points:
         raise SizeMismatchError(f"expected {points} samples, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a.view(np.float64)).all():
         raise FftError("input contains NaN or Inf")
     return a
 

@@ -9,6 +9,7 @@ reconfiguration completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .fft_engines import APU, PL
 
@@ -38,21 +39,26 @@ class PowerBreakdown:
 
 
 class PowerModel:
+    """Read-only power table; every row is built once, when the model is."""
+
     def __init__(self, profile: dict | None = None, static_mw: dict | None = None):
-        self.profile = dict(DEFAULT_POWER_PROFILE if profile is None else profile)
+        self.profile = MappingProxyType(
+            dict(DEFAULT_POWER_PROFILE if profile is None else profile))
         self.static_mw = dict(STATIC_MW if static_mw is None else static_mw)
+        self._rows = {(domain, points): PowerBreakdown(
+                          ddr, apu, pl, ddr + apu + pl,
+                          frozenset({PL} if domain == APU else {APU}))
+                      for (domain, points), (ddr, apu, pl) in self.profile.items()}
 
     def configurations(self) -> list[tuple[str, int]]:
         return sorted(self.profile, key=lambda k: k[1])
 
     def power_breakdown(self, domain: str, points: int) -> PowerBreakdown:
         try:
-            ddr, apu, pl = self.profile[(domain, points)]
+            return self._rows[(domain, points)]
         except KeyError:
             raise UncalibratedConfigError(
                 f"no calibrated power row for ({domain}, {points})") from None
-        static = frozenset({PL} if domain == APU else {APU})
-        return PowerBreakdown(ddr, apu, pl, ddr + apu + pl, static)
 
     def static_power(self, rail: str) -> float:
         return self.static_mw[rail]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class TimingModel:
     """Table-backed timing lookups plus live measurement of the software FFT.
 
     `jitter_pct` > 0 enables seeded uniform jitter around the APU table mean
-    in sample_exec_time (scenario realism only; lookup stays pure).
+    in sample_exec_time (scenario realism only; lookup stays pure).  The
+    table is read-only after construction.
     """
 
     def __init__(self, profile: dict | None = None, jitter_pct: float = 0.0,
                  seed: int | None = None):
-        self.profile = dict(DEFAULT_TIMING_PROFILE if profile is None else profile)
+        self.profile = MappingProxyType(
+            dict(DEFAULT_TIMING_PROFILE if profile is None else profile))
         self.jitter_pct = jitter_pct
         self._rng = random.Random(seed)
 
@@ -89,11 +92,15 @@ class TimingModel:
 
     def sample_exec_time(self, domain: str, points: int) -> float:
         """Table value, with optional seeded uniform jitter on the APU side."""
-        entry = self.lookup_exec_time(domain, points)
+        try:
+            exec_us = self.profile[(domain, points)]
+        except KeyError:
+            raise UncalibratedSizeError(
+                f"no calibrated timing for {domain} at {points} points") from None
         if domain == APU and self.jitter_pct > 0:
             factor = 1.0 + self._rng.uniform(-self.jitter_pct, self.jitter_pct)
-            return entry.exec_time_us * factor
-        return entry.exec_time_us
+            return exec_us * factor
+        return exec_us
 
     def measure_exec_time(self, points: int, runs: int = 20,
                           seed: int | None = None) -> TimingEntry:

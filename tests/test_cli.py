@@ -1,18 +1,21 @@
+import contextlib
 import gc
 import io
 import json
 import shutil
 import socket
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socrm import cli
-from socrm.event_bus import EventServer
+from socrm.event_bus import Emitter, EventServer, TransportError
 
 
 def run_cli(argv):
-    import contextlib
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -173,36 +176,28 @@ class TestRun:
             gc.enable()
 
     def test_live_mode_with_external_emitter(self):
-        # bind our own server first to learn a free port, then reuse it
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        host, port = probe.getsockname()
-        probe.close()
-
-        result = {}
-
-        def run():
-            result["ret"] = run_cli(["run", "--listen", f"{host}:{port}",
-                                     "--max-events", "1",
-                                     "--idle-timeout", "10"])
-
-        t = threading.Thread(target=run)
-        t.start()
-        # wait for the server to come up, then emit one event
-        from socrm.event_bus import Emitter, TransportError
-        import time
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            try:
-                with Emitter((host, port)) as emitter:
-                    emitter.emit(2)
-                break
-            except TransportError:
-                time.sleep(0.05)
-        t.join(timeout=10)
-        code, out = result["ret"]
+        code, out = _run_live("10")
         assert code == 0
         assert "MigrateAndScale ('APU', 8) -> ('PL', 2048)" in out
+
+    @pytest.mark.parametrize("idle_timeout", ["1e7", "1e300"])
+    def test_live_mode_takes_any_finite_idle_timeout(self, idle_timeout):
+        code, out = _run_live(idle_timeout)
+        assert code == 0
+        assert "events processed: 1" in out
+
+    def test_sink_reset_mid_stream_keeps_the_summary(self, tmp_path, capsys,
+                                                      resetting_sink):
+        (host, port), received = resetting_sink
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 0\n" * RESET_TRACE_EVENTS)
+        code, out = run_cli(["run", "--trace", str(trace),
+                             "--telemetry-socket", f"{host}:{port}"])
+        assert code == cli.EXIT_RUNTIME_ERROR
+        assert f"events processed: {RESET_TRACE_EVENTS}" in out
+        delivered = int(out.split("telemetry delivered (socket): ")[1].split()[0])
+        assert len(received) <= delivered < RESET_TRACE_EVENTS
+        assert capsys.readouterr().err.startswith("runtime error: socket sink")
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -246,6 +241,8 @@ class TestRun:
         ({"profile": {"timing_us": {}}}, None),
         ({}, "0 1\n0 -1\n"),
         ({}, "-5 1\n"),
+        ({"idle_timeout": 10 ** 400}, None),
+        ({"idle_timeout": float("inf")}, None),
     ])
     def test_bad_run_input_is_config_error(self, tmp_path, scenario, trace_text):
         path = tmp_path / "scenario.json"
@@ -280,6 +277,43 @@ class TestRun:
     def test_runtime_error_exit_code(self):
         code, _ = run_cli(["run", "--trace", "/does/not/exist"])
         assert code == cli.EXIT_RUNTIME_ERROR
+
+
+def _run_live(idle_timeout: str):
+    """`socrm run --listen` on a free port with --max-events 1, fed one
+    faces=2 event by an external emitter; returns (exit code, stdout)."""
+    # bind our own server first to learn a free port, then reuse it
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    host, port = probe.getsockname()
+    probe.close()
+
+    result = {}
+
+    def run():
+        result["ret"] = run_cli(["run", "--listen", f"{host}:{port}",
+                                 "--max-events", "1",
+                                 "--idle-timeout", idle_timeout])
+
+    t = threading.Thread(target=run)
+    t.start()
+    # wait for the server to come up, then emit one event
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            with Emitter((host, port)) as emitter:
+                emitter.emit(2)
+            break
+        except TransportError:
+            time.sleep(0.05)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    return result["ret"]
+
+
+# enough telemetry records that the sink's reset lands while they are still
+# being sent, whatever the loopback socket buffers hold
+RESET_TRACE_EVENTS = 10_000
 
 
 def _full_profile():
@@ -375,3 +409,75 @@ class TestProfiles:
             timing.lookup_exec_time("APU", 1024)
         # power falls back to the embedded defaults when absent
         assert power.power_breakdown("APU", 8).total_mw == 3676
+
+
+# Hostile-input properties: whatever the file holds, a run either loads it or
+# ends with exit 2, never with a traceback.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+numbers = st.integers(min_value=-3, max_value=5000) | st.floats()
+domains = st.sampled_from(["APU", "PL", "GPU", ""])
+sizes = st.sampled_from(["2", "8", "1024", "2048", "4096", "3", "0", "-8", "08", "1e3"])
+
+
+def _profile_section(leaf):
+    by_size = st.dictionaries(sizes, leaf | json_values, max_size=5)
+    return st.dictionaries(domains, by_size | json_values, max_size=3) | json_values
+
+
+profiles = json_values | st.fixed_dictionaries({}, optional={
+    "timing_us": _profile_section(numbers),
+    "power_mw": _profile_section(st.lists(numbers, min_size=2, max_size=4)),
+    "static_mw": st.dictionaries(domains, numbers | json_values, max_size=3),
+    "extra": json_values,
+})
+trace_lines = st.tuples(st.integers(-3, 10 ** 6), st.integers(-3, 9)).map(
+    lambda pair: f"{pair[0]} {pair[1]}") | st.sampled_from(
+    ["", "# comment", "1 2 # comment", "1", "1 2 3", "x 1", "1_0 2", "\u0661 2"])
+trace_texts = st.text() | st.lists(trace_lines, max_size=8).map("\n".join)
+scenarios = st.dictionaries(
+    st.sampled_from(sorted(cli.RUN_FIELD_CHECKS) + ["mechanism", "unknown"]),
+    json_values | numbers, max_size=4)
+hostile = settings(max_examples=150, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@hostile
+@given(text=trace_texts)
+def test_any_trace_file_loads_or_is_config_error(tmp_path, text):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        trace = cli.event_bus.load_trace(path)
+    except ValueError:
+        expected = cli.EXIT_CONFIG_ERROR
+    else:
+        expected = cli.EXIT_OK
+        assert all(delay >= 0 and faces >= 0 for delay, faces in trace)
+    assert run_cli(["run", "--trace", str(path)])[0] == expected
+
+
+@hostile
+@given(profile=profiles)
+def test_any_profile_loads_or_is_config_error(tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    assert run_cli(["run", "--profile", str(path)])[0] in (
+        cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+
+
+@hostile
+@given(scenario=scenarios)
+def test_any_scenario_object_merges_or_is_config_error(tmp_path, scenario):
+    # the merge only: a merged scenario may name sockets and files to open
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    args = cli._build_parser().parse_args(["run", str(path)])
+    try:
+        cfg = cli._merge_run_config(args)
+    except cli.ConfigError:
+        return
+    assert set(cfg) >= set(cli.RUN_FIELD_CHECKS)

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from socrm import controller as ctl
+from socrm import fft_engines
 from socrm.event_bus import FaceEvent, replay
 
 
@@ -154,3 +156,44 @@ class TestProcessEvent:
         first, second = run(), run()
         assert [(r.state, r.action, r.exec_time_us, r.mse) for r in first] == \
                [(r.state, r.action, r.exec_time_us, r.mse) for r in second]
+
+
+class TestInputBlocks:
+    """The controller draws each input block as one `random(2 * n)`; it must
+    feed the FFTs exactly the blocks two `uniform(-0.5, 0.5, n)` calls give."""
+
+    FACES = [0, 1, 2, 3, 1, 0, 3, 3, 2, 0, 2, 1]
+
+    @staticmethod
+    def reference(seed, faces):
+        rng = np.random.default_rng(seed)
+        for count in faces:
+            n = ctl.decide(count)[1]
+            yield n, rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 606, 2 ** 31 - 1])
+    def test_blocks_and_mse_match_two_uniform_draws(self, seed, monkeypatch):
+        blocks = []
+        fft_float = fft_engines.fft_float
+
+        def recording(x):
+            blocks.append(x.copy())
+            return fft_float(x)
+
+        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        c = ctl.Controller(seed=seed)
+        reports = [c.process_event(event)[2] for event in make_events(self.FACES)]
+        monkeypatch.undo()
+
+        assert {r.state.points for r in reports} == {n for _, n in ctl.RULES.values()}
+        assert len(blocks) == len(reports)
+        for block, report, (n, expected) in zip(blocks, reports,
+                                                self.reference(seed, self.FACES)):
+            assert block.dtype == np.complex128 and block.shape == (n,)
+            assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+            if report.state.domain == ctl.PL:
+                fixed = fft_engines.fft_fixed(fft_engines.quantize(expected))
+                assert report.mse == fft_engines.mse(
+                    fft_engines.fft_float(expected), fft_engines.dequantize(fixed) * n)
+            else:
+                assert report.mse is None

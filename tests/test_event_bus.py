@@ -1,3 +1,5 @@
+import contextlib
+import resource
 import socket
 import threading
 import time
@@ -218,6 +220,107 @@ class TestServer:
         clash = eb.EventServer(*server.address)
         with pytest.raises(OSError):
             clash.start()
+
+
+def count_selects(server, monkeypatch) -> list:
+    """Record the timeout of every select() the server makes from now on."""
+    calls = []
+    select = server._selector.select
+    monkeypatch.setattr(server._selector, "select",
+                        lambda timeout=None: calls.append(timeout) or select(timeout))
+    return calls
+
+
+@contextlib.contextmanager
+def no_free_descriptors():
+    """Lower this process's soft RLIMIT_NOFILE to its lowest free descriptor,
+    so that accept() fails with EMFILE; the limit is restored on exit."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    with socket.socket() as probe:
+        lowest_free = probe.fileno()
+    resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def event_line(faces: int, seq: int = 1) -> bytes:
+    return eb.encode_event(eb.FaceEvent(faces, seq, 0)).encode("utf-8")
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("timeout", [1e7, 1e300, float("inf")])
+    def test_any_timeout_returns_a_queued_event(self, server, timeout):
+        with eb.Emitter(server.address) as emitter:
+            sent = emitter.emit(2)
+        assert server.get(timeout=timeout) == sent
+
+    def test_no_select_wait_exceeds_the_slice(self, server, monkeypatch):
+        calls = count_selects(server, monkeypatch)
+        assert server.get(timeout=0.6) is None
+        assert 3 <= len(calls) <= 6
+        assert max(calls) <= eb.SELECT_SLICE_S
+
+    def test_failed_accept_does_not_spin(self, server, monkeypatch):
+        clients = [socket.socket() for _ in range(20)]
+        calls = count_selects(server, monkeypatch)
+        try:
+            with no_free_descriptors():
+                for client in clients:
+                    client.setblocking(False)
+                    client.connect_ex(server.address)
+                assert server.get(timeout=0.5) is None
+        finally:
+            for client in clients:
+                client.close()
+        assert len(calls) < 20
+
+    def test_client_is_served_once_a_connection_closes(self, server, monkeypatch):
+        first = [socket.create_connection(server.address, timeout=2.0) for _ in range(3)]
+        late = socket.socket()
+        late.settimeout(2.0)
+        try:
+            for client in first:
+                client.sendall(event_line(1))
+            assert [server.get(timeout=2.0).faces for _ in first] == [1, 1, 1]
+            calls = count_selects(server, monkeypatch)
+            with no_free_descriptors():
+                late.connect(server.address)
+                late.sendall(event_line(4))
+                assert server.get(timeout=0.5) is None
+                first[0].close()
+                assert server.get(timeout=2.0).faces == 4
+            assert len(calls) < 20
+        finally:
+            for client in first + [late]:
+                client.close()
+
+    def test_connections_over_the_cap_wait_until_one_closes(self, monkeypatch):
+        monkeypatch.setattr(eb, "MAX_CONNECTIONS", 3)
+        srv = eb.EventServer("127.0.0.1", 0).start()
+        emitters = []
+        try:
+            emitters = [eb.Emitter(srv.address) for _ in range(4)]
+            for faces, emitter in enumerate(emitters):
+                emitter.emit(faces)
+            served = set()
+            while (event := srv.get(timeout=0.5)) is not None:
+                served.add(event.faces)
+            assert served == {0, 1, 2}
+            emitters[0].close()
+            assert srv.get(timeout=2.0).faces == 3
+        finally:
+            for emitter in emitters:
+                emitter.close()
+            srv.stop()
+
+    def test_restarted_server_accepts_again(self, server):
+        server.stop()
+        server.start()
+        with eb.Emitter(server.address) as emitter:
+            sent = emitter.emit(1)
+        assert server.get(timeout=2.0) == sent
 
 
 class TestEmitter:

@@ -56,3 +56,27 @@ def test_uncalibrated_configuration_rejected(model):
         model.power_breakdown(PL, 8)
     with pytest.raises(UncalibratedConfigError):
         model.power_breakdown(APU, 4096)
+
+
+def test_profile_is_read_only(model):
+    with pytest.raises(TypeError):
+        model.profile[(APU, 8)] = (0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        del model.profile[(APU, 8)]
+
+
+def test_rows_do_not_follow_the_callers_table():
+    table = {(APU, 8): (1.0, 2.0, 3.0)}
+    model = PowerModel(profile=table)
+    table[(APU, 8)] = (9.0, 9.0, 9.0)
+    table[(PL, 8)] = (1.0, 1.0, 1.0)
+    assert model.power_breakdown(APU, 8).total_mw == 6.0
+    with pytest.raises(UncalibratedConfigError):
+        model.power_breakdown(PL, 8)
+
+
+@pytest.mark.parametrize("config", TABLE_ROWS)
+def test_repeated_lookups_return_equal_rows(model, config):
+    first = model.power_breakdown(*config)
+    assert all(model.power_breakdown(*config) == first for _ in range(3))
+    assert PowerModel().power_breakdown(*config) == first

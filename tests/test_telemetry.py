@@ -112,6 +112,14 @@ class TestExport:
             tm.export_to_socket(samples, dead)
         assert exc.value.delivered == 0
 
+    def test_sink_reset_mid_stream_reports_partial_count(self, power, resetting_sink):
+        address, received = resetting_sink
+        samples = make_samples([0, 1], power) * 5_000
+        with pytest.raises(tm.ExportError) as exc:
+            tm.export_to_socket(samples, address)
+        assert len(received) <= exc.value.delivered < len(samples)
+        assert [tm.parse_sample(line) for line in received] == samples[:len(received)]
+
 
 class TestEnergyAccounting:
     def test_energy_from_dwell_times(self, power):

@@ -96,3 +96,25 @@ class TestJitter:
     def test_pl_never_jitters(self):
         model = TimingModel(jitter_pct=0.1, seed=5)
         assert all(model.sample_exec_time(PL, 2048) == 8.7 for _ in range(10))
+
+
+class TestReadOnlyTable:
+    def test_profile_is_read_only(self, model):
+        with pytest.raises(TypeError):
+            model.profile[(APU, 8)] = 1.0
+        with pytest.raises(TypeError):
+            del model.profile[(APU, 8)]
+
+    def test_table_does_not_follow_the_callers_dict(self):
+        table = {(APU, 8): 1.0}
+        model = TimingModel(profile=table)
+        table[(APU, 8)] = 2.0
+        assert model.sample_exec_time(APU, 8) == 1.0
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    def test_sample_rejects_uncalibrated_size(self, jitter):
+        model = TimingModel(jitter_pct=jitter, seed=0)
+        with pytest.raises(UncalibratedSizeError):
+            model.sample_exec_time(APU, 512)
+        with pytest.raises(UncalibratedSizeError):
+            model.sample_exec_time(PL, 16)
