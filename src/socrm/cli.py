@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import logging
 import sys
@@ -181,15 +182,8 @@ def _event_source(cfg, out):
         address = _parse_address(cfg["listen"])
         server = event_bus.EventServer(*address).start()
         out.write(f"listening on {server.address[0]}:{server.address[1]}\n")
-
-        def events():
-            count = 0
-            for event in server.events(timeout=cfg["idle_timeout"]):
-                yield event
-                count += 1
-                if cfg["max_events"] and count >= cfg["max_events"]:
-                    break
-        return events(), server
+        events = server.events(timeout=cfg["idle_timeout"])
+        return itertools.islice(events, cfg["max_events"]), server
     if cfg["trace_path"]:
         try:
             trace = event_bus.load_trace(cfg["trace_path"])
@@ -217,12 +211,10 @@ def cmd_run(args, out=None) -> int:
     if cfg["telemetry_socket"]:
         sinks.append(("socket", telemetry.export_to_socket,
                       _parse_address(cfg["telemetry_socket"])))
-    ctrl = controller.Controller(timing, power, mechanism=cfg["mechanism"],
-                                 seed=cfg["seed"])
+    ctrl = controller.Controller(timing, mechanism=cfg["mechanism"], seed=cfg["seed"])
     events, server = _event_source(cfg, out)
 
     reports: list[controller.ExecutionReport] = []
-    samples: list[telemetry.TelemetrySample] = []
     # The loop makes no reference cycles: what it allocates is either kept for
     # the summary or freed by reference counting.  The cyclic collector would
     # only rescan the growing report list, a full collection on 10,000 events
@@ -231,10 +223,7 @@ def cmd_run(args, out=None) -> int:
     gc.disable()
     try:
         for event in events:
-            state, action, report = ctrl.process_event(event)
-            reports.append(report)
-            samples.append(telemetry.take_sample(state, power, report,
-                                                 event.timestamp_us))
+            reports.append(ctrl.process_event(event)[2])
     except KeyboardInterrupt:
         out.write("interrupted; draining\n")
     finally:
@@ -243,9 +232,12 @@ def cmd_run(args, out=None) -> int:
         if server is not None:
             server.stop()
 
-    # each sink is tried on its own; a failed one still reports what it delivered
+    # each sink is tried on its own, over records derived from the reports;
+    # a failed one still reports what it delivered
     delivered, failures = [], []
     for sink, export, target in sinks:
+        samples = (telemetry.take_sample(r.state, power, r, r.event.timestamp_us)
+                   for r in reports)
         try:
             delivered.append((sink, export(samples, target)))
         except telemetry.ExportError as exc:

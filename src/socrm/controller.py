@@ -5,8 +5,9 @@ reconfiguration action (scale, migrate, both, or no-op), applies modeled
 reconfiguration overhead and maintains the deployed function state.  Each
 applied decision also executes one FFT of the new configuration on a
 synthetic input block (float path on APU, fixed-point path on PL) and
-returns an execution report with modeled timing, power and, on PL, the
-MSE against the floating-point reference.
+returns an execution report with modeled timing and, on PL, the MSE
+against the floating-point reference.  Reports carry no power: telemetry
+and the run summary look it up in the `PowerModel`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from . import fft_engines
 from .event_bus import FaceEvent
 from .fft_engines import APU, PL
-from .power_model import PowerBreakdown, PowerModel
 from .timing_model import TimingModel
 
 CLOCK_GATING = "clock-gating"
@@ -45,8 +45,11 @@ class StaleActionError(RuntimeError):
 class FunctionState:
     domain: str
     points: int
-    pl_clock_gated: bool
     generation: int
+
+    @property
+    def pl_clock_gated(self) -> bool:
+        return self.domain == APU
 
     @property
     def config(self) -> tuple[str, int]:
@@ -55,7 +58,7 @@ class FunctionState:
 
 def initial_state() -> FunctionState:
     domain, points = INITIAL_CONFIG
-    return FunctionState(domain, points, pl_clock_gated=(domain == APU), generation=0)
+    return FunctionState(domain, points, generation=0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class ExecutionReport:
     state: FunctionState
     action: ReconfigAction
     exec_time_us: float
-    power: PowerBreakdown
     mse: float | None  # float-vs-fixed comparison; only when executing on PL
 
 
@@ -111,9 +113,7 @@ def apply_action(current: FunctionState, action: ReconfigAction) -> FunctionStat
     if action.kind == NO_OP:
         return current
     domain, points = action.to_config
-    return FunctionState(domain, points,
-                         pl_clock_gated=(domain == APU),
-                         generation=current.generation + 1)
+    return FunctionState(domain, points, generation=current.generation + 1)
 
 
 class Controller:
@@ -124,10 +124,8 @@ class Controller:
     """
 
     def __init__(self, timing: TimingModel | None = None,
-                 power: PowerModel | None = None,
                  mechanism: str = CLOCK_GATING, seed: int = 0):
         self.timing = timing if timing is not None else TimingModel()
-        self.power = power if power is not None else PowerModel()
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
@@ -164,5 +162,4 @@ class Controller:
         else:
             fft_engines.fft_float(x)
         exec_time = self.timing.sample_exec_time(state.domain, n)
-        power = self.power.power_breakdown(state.domain, n)
-        return ExecutionReport(event, state, action, exec_time, power, error)
+        return ExecutionReport(event, state, action, exec_time, error)

@@ -9,7 +9,6 @@ that leaves headroom for the rest of the low-PHY chain).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 BYTES_PER_COMPLEX_SAMPLE = 8  # complex single-precision float over the bus
@@ -60,8 +59,7 @@ class NumerologyConfig:
     fft_points: int
     slot_us: float
     symbols_per_slot: int
-    symbol_us: float        # average symbol duration incl. CP, rounded to 0.1 us
-    symbol_us_exact: float  # slot_us / symbols_per_slot, unrounded
+    symbol_us: float  # average symbol duration incl. CP, rounded to 0.1 us
 
 
 def derive_numerology(scs_khz: int, bandwidth_mhz: int) -> NumerologyConfig:
@@ -73,9 +71,8 @@ def derive_numerology(scs_khz: int, bandwidth_mhz: int) -> NumerologyConfig:
         raise NumerologyError(
             f"no standard FFT size for {scs_khz} kHz / {bandwidth_mhz} MHz") from None
     slot_us = 1000.0 / (scs_khz / 15)
-    exact = slot_us / SYMBOLS_PER_SLOT
     return NumerologyConfig(scs_khz, bandwidth_mhz, fft_points, slot_us,
-                            SYMBOLS_PER_SLOT, round(exact, 1), exact)
+                            SYMBOLS_PER_SLOT, round(slot_us / SYMBOLS_PER_SLOT, 1))
 
 
 def dma_transfer_latency(nbytes: float, throughput_bytes_per_s: float) -> float:
@@ -117,18 +114,6 @@ class BudgetReport:
                      f"Ideal (<= {IDEAL_DEADLINE_US:.0f} us): {self.ideal_feasible}")
         lines.extend(self.notes)
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "steps": [{"name": s.name, "latency_us": s.latency_us, "kind": s.kind}
-                      for s in self.steps],
-            "total_us": self.total_us,
-            "deadline_us": self.deadline_us,
-            "margin_us": self.margin_us,
-            "feasible": self.feasible,
-            "ideal_feasible": self.ideal_feasible,
-            "mode": self.mode,
-        })
 
 
 def _assemble(steps, deadline_us: float, mode: str, notes=()) -> BudgetReport:

@@ -1,21 +1,17 @@
-"""Sampling and export of the simulated device's metrics.
+"""Telemetry records of the simulated device and their export.
 
-Samples combine the power breakdown of the deployed configuration with the
-latest execution report.  Export uses the same line-delimited JSON record
-convention as the event wire format (one sample per line, atomic).
+A record is built from one execution report and the power row of the
+configuration it ran on.  Export uses the same line-delimited JSON record
+convention as the event wire format (one record per line, atomic).
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass
 
 from .controller import ExecutionReport, FunctionState
 from .power_model import PowerModel
-
-SAMPLE_FIELDS = ("timestamp_us", "domain", "points", "ddr_mw", "apu_mw", "pl_mw",
-                 "total_mw", "last_exec_time_us", "last_mse", "generation")
 
 
 class ExportError(RuntimeError):
@@ -26,53 +22,23 @@ class ExportError(RuntimeError):
         self.delivered = delivered
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    timestamp_us: int
-    domain: str
-    points: int
-    ddr_mw: float
-    apu_mw: float
-    pl_mw: float
-    total_mw: float
-    last_exec_time_us: float
-    last_mse: float | None
-    generation: int
-
-
 def take_sample(state: FunctionState, power: PowerModel,
-                last_report: ExecutionReport | None,
-                timestamp_us: int) -> TelemetrySample:
-    """Pure snapshot of power + configuration + the latest execution report."""
+                report: ExecutionReport, timestamp_us: int) -> dict:
+    """The wire record of one decision; `last_mse` is left out on the APU path."""
     breakdown = power.power_breakdown(state.domain, state.points)
-    exec_us = last_report.exec_time_us if last_report is not None else 0.0
-    error = last_report.mse if last_report is not None else None
-    return TelemetrySample(timestamp_us, state.domain, state.points,
-                           breakdown.ddr_mw, breakdown.apu_mw, breakdown.pl_mw,
-                           breakdown.total_mw, exec_us, error, state.generation)
+    sample = {"timestamp_us": timestamp_us, "domain": state.domain,
+              "points": state.points, "ddr_mw": breakdown.ddr_mw,
+              "apu_mw": breakdown.apu_mw, "pl_mw": breakdown.pl_mw,
+              "total_mw": breakdown.total_mw,
+              "last_exec_time_us": report.exec_time_us}
+    if report.mse is not None:
+        sample["last_mse"] = report.mse
+    sample["generation"] = state.generation
+    return sample
 
 
-def render_sample(sample: TelemetrySample) -> str:
-    obj = {f: getattr(sample, f) for f in SAMPLE_FIELDS}
-    if obj["last_mse"] is None:
-        del obj["last_mse"]
-    return json.dumps(obj) + "\n"
-
-
-def parse_sample(line: str) -> TelemetrySample:
-    obj = json.loads(line)
-    return TelemetrySample(
-        timestamp_us=obj["timestamp_us"],
-        domain=obj["domain"],
-        points=obj["points"],
-        ddr_mw=obj["ddr_mw"],
-        apu_mw=obj["apu_mw"],
-        pl_mw=obj["pl_mw"],
-        total_mw=obj["total_mw"],
-        last_exec_time_us=obj["last_exec_time_us"],
-        last_mse=obj.get("last_mse"),
-        generation=obj["generation"],
-    )
+def render_sample(sample: dict) -> str:
+    return json.dumps(sample) + "\n"
 
 
 def export_to_file(samples, path) -> int:

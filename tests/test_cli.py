@@ -110,10 +110,8 @@ class TestRun:
         code, out = run_cli(["run", "--telemetry-file", str(telemetry_path)])
         assert code == 0
         assert "telemetry delivered (file): 4" in out
-        from socrm import telemetry
-        samples = [telemetry.parse_sample(line)
-                   for line in telemetry_path.read_text().splitlines()]
-        assert [s.points for s in samples] == [8, 1024, 2048, 4096]
+        samples = [json.loads(line) for line in telemetry_path.read_text().splitlines()]
+        assert [s["points"] for s in samples] == [8, 1024, 2048, 4096]
 
     def test_telemetry_socket_sink(self):
         received = []
@@ -134,6 +132,28 @@ class TestRun:
         srv.close()
         assert code == 0
         assert len(received) == 4
+
+    def test_file_and_socket_sinks_get_the_same_lines(self, tmp_path):
+        received = []
+        srv = socket.create_server(("127.0.0.1", 0))
+
+        def sink():
+            conn, _ = srv.accept()
+            with conn, conn.makefile("r") as fh:
+                received.extend(fh.readlines())
+
+        t = threading.Thread(target=sink)
+        t.start()
+        host, port = srv.getsockname()
+        telemetry_path = tmp_path / "telemetry.jsonl"
+        code, out = run_cli(["run", "--jitter", "0.1", "--telemetry-file", str(telemetry_path),
+                             "--telemetry-socket", f"{host}:{port}"])
+        t.join(timeout=2)
+        srv.close()
+        assert code == 0
+        assert "telemetry delivered (file): 4" in out
+        assert "telemetry delivered (socket): 4" in out
+        assert received == telemetry_path.read_text().splitlines(keepends=True)
 
     def test_failed_sinks_keep_the_summary(self, tmp_path, capsys):
         sock = socket.socket()

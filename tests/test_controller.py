@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from socrm import controller as ctl
 from socrm import fft_engines
 from socrm.event_bus import FaceEvent, replay
+from socrm.power_model import PowerModel
 
 
 def make_events(faces_list):
@@ -46,7 +47,7 @@ class TestDecide:
 
 class TestPlanAction:
     def test_migrate_and_scale(self):
-        state = ctl.FunctionState(ctl.APU, 1024, True, 1)
+        state = ctl.FunctionState(ctl.APU, 1024, 1)
         action = ctl.plan_action(state, (ctl.PL, 2048))
         assert action.kind == ctl.MIGRATE_AND_SCALE
         assert action.overhead_us == 0.0
@@ -68,7 +69,7 @@ class TestPlanAction:
         assert action.overhead_us == 10_000
 
     def test_partial_bitstream_no_overhead_back_to_apu(self):
-        state = ctl.FunctionState(ctl.PL, 4096, False, 3)
+        state = ctl.FunctionState(ctl.PL, 4096, 3)
         action = ctl.plan_action(state, (ctl.APU, 8),
                                  mechanism=ctl.PARTIAL_BITSTREAM)
         assert action.kind == ctl.MIGRATE_AND_SCALE
@@ -77,10 +78,11 @@ class TestPlanAction:
 
 class TestApply:
     def test_migrate_updates_gating_and_generation(self):
-        state = ctl.FunctionState(ctl.APU, 1024, True, 4)
+        state = ctl.FunctionState(ctl.APU, 1024, 4)
         action = ctl.plan_action(state, (ctl.PL, 2048))
         new = ctl.apply_action(state, action)
-        assert new == ctl.FunctionState(ctl.PL, 2048, False, 5)
+        assert new == ctl.FunctionState(ctl.PL, 2048, 5)
+        assert state.pl_clock_gated and not new.pl_clock_gated
 
     def test_noop_leaves_state_unchanged(self):
         state = ctl.initial_state()
@@ -88,7 +90,7 @@ class TestApply:
 
     def test_stale_action_rejected(self):
         state = ctl.initial_state()
-        action = ctl.plan_action(ctl.FunctionState(ctl.PL, 2048, False, 2),
+        action = ctl.plan_action(ctl.FunctionState(ctl.PL, 2048, 2),
                                  (ctl.APU, 8))
         with pytest.raises(ctl.StaleActionError):
             ctl.apply_action(state, action)
@@ -136,7 +138,7 @@ class TestProcessEvent:
         c = ctl.Controller(seed=0)
         _, _, report = c.process_event(FaceEvent(2, 1, 0))
         assert report.exec_time_us == 8.7
-        assert report.power.total_mw == 4354
+        assert PowerModel().power_breakdown(*report.state.config).total_mw == 4354
         assert report.mse is not None and report.mse > 0
 
     def test_apu_report_has_no_mse(self):

@@ -15,7 +15,7 @@ class TestNumerology:
 
     def test_symbol_duration_is_slot_over_symbols(self):
         cfg = lb.derive_numerology(30, 20)
-        assert cfg.symbol_us_exact == pytest.approx(500 / 14)
+        assert cfg.symbol_us == round(500 / 14, 1)
         assert abs(cfg.symbol_us * cfg.symbols_per_slot - cfg.slot_us) < 0.5
 
     def test_15khz_baseline_slot(self):
@@ -105,11 +105,9 @@ class TestBudget:
         with pytest.raises(ValueError):
             lb.build_offload_budget(cfg, transfer_bytes=0)
 
-    def test_render_and_json(self):
+    def test_render(self):
         report = lb.default_offload_budget()
         text = report.render()
         assert "Total" in text and "14.70" in text
-        import json
-        obj = json.loads(report.to_json())
-        assert obj["total_us"] == 21.0
-        assert obj["feasible"] is True
+        assert report.total_us == 21.0
+        assert report.feasible is True
