@@ -12,6 +12,7 @@ and the run summary look it up in the `PowerModel`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,14 @@ def decide(faces: int) -> tuple[str, int]:
 
 def plan_action(current: FunctionState, target: tuple[str, int],
                 mechanism: str = CLOCK_GATING) -> ReconfigAction:
-    frm = current.config
-    target = tuple(target)
+    """The action from `current` to `target`; equal inputs share one action."""
+    return _plan(current.config, tuple(target), mechanism)
+
+
+# an action depends only on the two configurations and the mechanism, and is
+# immutable, so one object serves every decision with the same inputs
+@functools.lru_cache(maxsize=256)
+def _plan(frm: tuple[str, int], target: tuple[str, int], mechanism: str) -> ReconfigAction:
     if frm == target:
         return ReconfigAction(NO_OP, frm, target, 0.0, mechanism)
     migrate = frm[0] != target[0]

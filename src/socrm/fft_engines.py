@@ -1,11 +1,18 @@
 """Both FFT execution domains of the simulated device.
 
-The software ("APU") path runs a library FFT in double precision
-(`numpy.fft`), as the device's APU runs FFTW.  The hardware ("PL") path is a
-numerical emulation of a 16-bit fixed-point streaming FFT core: Q1.15
-samples, radix-2 decimation-in-time, per-stage scaling by 1/2 so overflow is
-impossible by construction.  Its bit-reversal permutation and Q1.15 twiddle
-factors are precomputed once per size in an immutable plan.
+The software ("APU") path runs a library FFT in double precision, as the
+device's APU runs FFTW.  `fft_float` validates its input and then calls the
+pocketfft gufunc that `numpy.fft.fft` itself ends in
+(`numpy.fft._pocketfft_umath.fft`, NumPy >= 2), with the same arguments, so
+its output is bit-identical to `numpy.fft.fft` without that function's
+per-call argument handling; on NumPy 1.x, which has no such gufunc, it calls
+`numpy.fft.fft` (`float_entry` names the one in use).
+
+The hardware ("PL") path is a numerical emulation of a 16-bit fixed-point
+streaming FFT core: Q1.15 samples, radix-2 decimation-in-time, per-stage
+scaling by 1/2 so overflow is impossible by construction.  Its bit-reversal
+permutation and Q1.15 twiddle factors are precomputed once per size in an
+immutable plan.
 
 The core's butterfly stages run as one compiled C function (`_q15.c`, called
 through `ctypes`), built with the system C compiler on the first `fft_fixed`
@@ -26,6 +33,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy.fft._pocketfft_umath import fft as _pocketfft_fft
+except ImportError:  # NumPy 1.x
+    _pocketfft_fft = None
 
 APU = "APU"  # software domain: the ARM application processing unit
 PL = "PL"  # hardware domain: the programmable-logic FFT core
@@ -102,16 +114,30 @@ def _as_complex_block(x, points: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1 or len(a) != points:
         raise SizeMismatchError(f"expected {points} samples, got shape {a.shape}")
-    if not np.isfinite(a.view(np.float64)).all():
+    # complex isfinite is false when either part is NaN or Inf, and unlike a
+    # float64 view it accepts strided input
+    if not np.isfinite(a).all():
         raise FftError("input contains NaN or Inf")
     return a
 
 
 def fft_float(x, points: int | None = None) -> np.ndarray:
-    """Unnormalized forward DFT, natural-order output, double precision."""
+    """Unnormalized forward DFT, natural-order output, double precision.
+
+    Bit-identical to `numpy.fft.fft` on the validated block: it is the same
+    gufunc call, with the scale factor 1 and a fresh output array.
+    """
     points = len(x) if points is None else points
     _check_size(points)
-    return np.fft.fft(_as_complex_block(x, points))
+    a = _as_complex_block(x, points)
+    if _pocketfft_fft is None:
+        return np.fft.fft(a)
+    return _pocketfft_fft(a, 1, out=np.empty(points, np.complex128))
+
+
+def float_entry() -> str:
+    """The call `fft_float` ends in: the pocketfft gufunc or `numpy.fft.fft`."""
+    return "numpy.fft.fft" if _pocketfft_fft is None else "pocketfft gufunc"
 
 
 def ifft_float(x, points: int | None = None) -> np.ndarray:

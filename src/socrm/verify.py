@@ -4,7 +4,9 @@ Each check returns (name, passed, detail); `run_checks` executes all of
 them deterministically.  A fault-injection hook (corrupting one output bin
 of the N=64 transform) exists so the oracle check's sensitivity is itself
 testable.  `check_q15_kernel` names the stage loop `fft_fixed` runs and, when
-it is the compiled one, compares it bit for bit with the NumPy loop.
+it is the compiled one, compares it bit for bit with the NumPy loop;
+`check_fft_float_entry` names the call `fft_float` ends in and compares it bit
+for bit with `numpy.fft.fft`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ def check_round_trip():
         back = fft_engines.ifft_float(fft_engines.fft_float(x))
         worst = max(worst, np.max(np.abs(back - x)))
     return ("fft-round-trip", worst < 1e-9, f"max abs error {worst:.3e}")
+
+
+def check_fft_float_entry():
+    rng = np.random.default_rng(181920)
+    sizes = (8, 1024, 2048, 4096)
+    identical = 0
+    for n in sizes:
+        x = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        identical += np.array_equal(fft_engines.fft_float(x).view(np.uint64),
+                                    np.fft.fft(x).view(np.uint64))
+    return ("fft-float-entry", identical == len(sizes),
+            f"{fft_engines.float_entry()}: {identical}/{len(sizes)} sizes "
+            f"(N={', '.join(map(str, sizes))}) bit-identical to numpy.fft.fft")
 
 
 def check_fixed_point_bound():
@@ -144,6 +159,7 @@ ALL_CHECKS = (
     check_fft_oracle,
     check_parseval,
     check_round_trip,
+    check_fft_float_entry,
     check_fixed_point_bound,
     check_q15_kernel,
     check_rule_map,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from socrm import cli
+from socrm import cli, fft_engines
 from socrm.event_bus import Emitter, EventServer, TransportError
 
 
@@ -47,7 +47,7 @@ class TestVerify:
         code, out = run_cli(["verify"])
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("[PASS]") == 9
+        assert out.count("[PASS]") == 10
 
     def test_names_the_active_kernel(self):
         _, out = run_cli(["verify"])
@@ -55,6 +55,11 @@ class TestVerify:
             assert "[PASS] q15-kernel: c (compiled _q15.c): 48/48 seeded blocks" in out
         else:
             assert "[PASS] q15-kernel: numpy" in out
+
+    def test_names_the_float_fft_entry(self):
+        _, out = run_cli(["verify"])
+        assert (f"[PASS] fft-float-entry: {fft_engines.float_entry()}: 4/4 sizes "
+                "(N=8, 1024, 2048, 4096) bit-identical to numpy.fft.fft") in out
 
     def test_fault_injection_fails_only_oracle(self):
         code, out = run_cli(["verify", "--inject-fault"])

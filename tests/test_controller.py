@@ -76,6 +76,44 @@ class TestPlanAction:
         assert action.overhead_us == 0.0
 
 
+class TestPlanMemo:
+    def test_repeated_calls_share_one_action(self):
+        first = ctl.plan_action(ctl.FunctionState(ctl.APU, 1024, 1), (ctl.PL, 2048))
+        # the generation is not part of the plan
+        again = ctl.plan_action(ctl.FunctionState(ctl.APU, 1024, 7), (ctl.PL, 2048))
+        assert again is first
+
+    def test_mechanisms_get_distinct_actions(self):
+        state = ctl.initial_state()
+        gating = ctl.plan_action(state, (ctl.PL, 2048), ctl.CLOCK_GATING)
+        bitstream = ctl.plan_action(state, (ctl.PL, 2048), ctl.PARTIAL_BITSTREAM)
+        assert gating is not bitstream
+        assert (gating.mechanism, gating.overhead_us) == (ctl.CLOCK_GATING, 0.0)
+        assert (bitstream.mechanism, bitstream.overhead_us) == (
+            ctl.PARTIAL_BITSTREAM, ctl.PARTIAL_BITSTREAM_OVERHEAD_US)
+        assert ctl.plan_action(state, (ctl.PL, 2048), ctl.CLOCK_GATING) is gating
+        assert ctl.plan_action(state, (ctl.PL, 2048), ctl.PARTIAL_BITSTREAM) is bitstream
+
+    def test_list_target_accepted(self):
+        state = ctl.initial_state()
+        action = ctl.plan_action(state, [ctl.PL, 4096])
+        assert action.to_config == (ctl.PL, 4096)
+        assert isinstance(action.to_config, tuple)
+        assert action is ctl.plan_action(state, (ctl.PL, 4096))
+
+    def test_stale_shared_action_rejected(self):
+        pl = ctl.FunctionState(ctl.PL, 2048, 2)
+        action = ctl.plan_action(pl, (ctl.APU, 8))
+        assert ctl.apply_action(pl, action) == ctl.FunctionState(ctl.APU, 8, 3)
+        with pytest.raises(ctl.StaleActionError):
+            ctl.apply_action(ctl.initial_state(), action)
+
+    def test_reports_of_a_run_share_actions(self):
+        c = ctl.Controller(seed=0)
+        actions = [c.process_event(FaceEvent(i % 2, i, i * 1000))[1] for i in range(1, 101)]
+        assert len({id(a) for a in actions}) == 2  # ScaleOnly 8 -> 1024 and back
+
+
 class TestApply:
     def test_migrate_updates_gating_and_generation(self):
         state = ctl.FunctionState(ctl.APU, 1024, 4)

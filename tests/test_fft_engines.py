@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from socrm import fft_engines as fe
 
 CONTROLLER_SIZES = (8, 1024, 2048, 4096)
+NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+ALL_SIZES = [1 << bits for bits in range(1, 13)]
 
 
 def dft_direct(x):
@@ -80,6 +82,62 @@ class TestFftFloat:
         x[3] = np.nan
         with pytest.raises(fe.FftError):
             fe.fft_float(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("transform", [fe.fft_float, fe.ifft_float])
+    def test_rejects_non_finite_imaginary_part_alone(self, transform, bad):
+        x = np.zeros(16, dtype=complex)
+        x.imag[4] = bad  # kept by the strided view below too
+        with pytest.raises(fe.FftError):
+            transform(x)
+        with pytest.raises(fe.FftError):
+            transform(x[::2])
+
+    def test_strided_input(self):
+        x = random_block(np.random.default_rng(17), 16)
+        view = x[::2]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(fe.fft_float(view), np.fft.fft(np.ascontiguousarray(view)))
+        assert np.array_equal(fe.ifft_float(view), np.fft.ifft(np.ascontiguousarray(view)))
+
+
+def as_bits(a):
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+
+class TestFftFloatEntry:
+    """`fft_float` is bit-identical to `np.fft.fft` on both dispatch paths."""
+
+    @pytest.fixture(params=["pocketfft gufunc", "numpy.fft.fft"])
+    def entry(self, request, monkeypatch):
+        if request.param == "pocketfft gufunc" and not NUMPY_2:
+            pytest.skip("NumPy 1.x has no pocketfft gufunc")
+        if request.param == "numpy.fft.fft":
+            monkeypatch.setattr(fe, "_pocketfft_fft", None)
+        assert fe.float_entry() == request.param
+        return request.param
+
+    def test_gufunc_is_resolved_on_numpy_2(self):
+        # a lost import must not pass quietly on the fallback
+        assert (fe._pocketfft_fft is not None) == NUMPY_2
+        assert fe.float_entry() == ("pocketfft gufunc" if NUMPY_2 else "numpy.fft.fft")
+
+    @pytest.mark.parametrize("n", ALL_SIZES)
+    def test_bit_identical_to_numpy(self, entry, n):
+        rng = np.random.default_rng(n + 3)
+        x = random_block(rng, n)
+        assert np.array_equal(as_bits(fe.fft_float(x)), as_bits(np.fft.fft(x)))
+        strided = random_block(rng, 3 * n)[::3]
+        assert np.array_equal(as_bits(fe.fft_float(strided)),
+                              as_bits(np.fft.fft(np.ascontiguousarray(strided))))
+
+    def test_returns_a_fresh_array(self, entry):
+        x = random_block(np.random.default_rng(18), 8)
+        before = x.copy()
+        out = fe.fft_float(x)
+        assert out is not x and not np.shares_memory(out, x)
+        assert np.array_equal(x, before)
+        assert out.dtype == np.complex128 and out.shape == (8,)
 
 
 class TestIfftFloat:
@@ -239,9 +297,6 @@ def assert_matches_numpy_loop(block):
     out = fe.fft_fixed(block)
     re, im = numpy_loop(block)
     assert np.array_equal(out.re, re) and np.array_equal(out.im, im)
-
-
-ALL_SIZES = [1 << bits for bits in range(1, 13)]
 
 
 class TestQ15Kernel:
