@@ -342,6 +342,9 @@ def cmd_verify(inject_fault: bool = False, out=None) -> int:
 def cmd_emit(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     address = _parse_address(args.target)
+    negative = [faces for faces in args.faces if faces < 0]
+    if negative:  # checked before connecting, so a bad list sends nothing
+        raise ConfigError(f"face counts must be non-negative, got {negative}")
     with event_bus.Emitter(address) as emitter:
         for faces in args.faces:
             event = emitter.emit(faces)

@@ -8,12 +8,20 @@ synthetic input block (float path on APU, fixed-point path on PL) and
 returns an execution report with modeled timing and, on PL, the MSE
 against the floating-point reference.  Reports carry no power: telemetry
 and the run summary look it up in the `PowerModel`.
+
+Each controller keeps one set of input buffers per transform size and draws
+every input block into them, so a block lives only until the next event of
+the same size overwrites it.  Nothing outlives that: `fft_float` returns a
+fresh array and `quantize` scales into a new one, so reports hold no view of
+a block.  The per-event records, `FaceEvent` and `ExecutionReport`, are
+immutable named tuples.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +44,7 @@ MIGRATE_AND_SCALE = "MigrateAndScale"
 RULES = {0: (APU, 8), 1: (APU, 1024), 2: (PL, 2048), 3: (PL, 4096)}
 
 INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
+_LAST_RULE = max(RULES)
 
 
 class StaleActionError(RuntimeError):
@@ -71,8 +80,7 @@ class ReconfigAction:
     mechanism: str
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     event: FaceEvent
     state: FunctionState
     action: ReconfigAction
@@ -84,7 +92,7 @@ def decide(faces: int) -> tuple[str, int]:
     """Total rule map from face count to target configuration."""
     if faces < 0:
         raise ValueError("face count must be non-negative")
-    return RULES[min(faces, max(RULES))]
+    return RULES[min(faces, _LAST_RULE)]
 
 
 def plan_action(current: FunctionState, target: tuple[str, int],
@@ -136,6 +144,7 @@ class Controller:
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def state(self) -> FunctionState:
@@ -152,14 +161,21 @@ class Controller:
     def _execute(self, event: FaceEvent, action: ReconfigAction) -> ExecutionReport:
         state = self._state
         n = state.points
-        # synthetic stand-in for the DDR-played-back input signal: one draw,
-        # bit-identical to uniform(-0.5, 0.5, n) + 1j * uniform(-0.5, 0.5, n),
-        # which computes -0.5 + 1.0 * u and reads the stream in the same order
-        u = self._rng.random(2 * n)
-        u -= 0.5
-        x = np.empty(n, dtype=np.complex128)
-        x.real = u[:n]
-        x.imag = u[n:]
+        # synthetic stand-in for the DDR-played-back input signal, bit-identical
+        # to uniform(-0.5, 0.5, n) + 1j * uniform(-0.5, 0.5, n), which computes
+        # -0.5 + 1.0 * u and reads the stream in the same order: random(out=)
+        # fills `draw` row by row, so row 0 holds the first n draws (the real
+        # parts) and row 1 the next n (the imaginary parts), and `parts` views
+        # x's real parts as row 0 and its imaginary parts as row 1.  The block
+        # is overwritten at the next event of this size.
+        buffers = self._buffers.get(n)
+        if buffers is None:
+            x = np.empty(n, dtype=np.complex128)
+            buffers = self._buffers[n] = (np.empty((2, n)), x,
+                                          x.view(np.float64).reshape(n, 2).T)
+        draw, x, parts = buffers
+        self._rng.random(out=draw)
+        np.subtract(draw, 0.5, out=parts)
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
@@ -170,3 +186,4 @@ class Controller:
             fft_engines.fft_float(x)
         exec_time = self.timing.sample_exec_time(state.domain, n)
         return ExecutionReport(event, state, action, exec_time, error)
+

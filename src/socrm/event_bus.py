@@ -18,7 +18,7 @@ import socket
 import time
 import types
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -31,8 +31,7 @@ class TransportError(ConnectionError):
     """Send or connect failed; no partial state is kept."""
 
 
-@dataclass(frozen=True)
-class FaceEvent:
+class FaceEvent(NamedTuple):
     faces: int
     seq: int
     timestamp_us: int

@@ -116,7 +116,7 @@ def _as_complex_block(x, points: int) -> np.ndarray:
         raise SizeMismatchError(f"expected {points} samples, got shape {a.shape}")
     # complex isfinite is false when either part is NaN or Inf, and unlike a
     # float64 view it accepts strided input
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise FftError("input contains NaN or Inf")
     return a
 
@@ -169,7 +169,7 @@ def quantize(x) -> FixedBlock:
     """
     a = np.ascontiguousarray(x, dtype=np.complex128)
     flat = a.view(np.float64)  # re, im interleaved
-    if not np.isfinite(flat).all():
+    if np.count_nonzero(np.isfinite(flat)) != flat.size:
         raise FftError("input contains NaN or Inf")
     # round half away from zero (np.round would round half to even)
     scaled = flat * Q15_SCALE

@@ -7,7 +7,6 @@ convention as the event wire format (one record per line, atomic).
 
 from __future__ import annotations
 
-import json
 import socket
 
 from .controller import ExecutionReport, FunctionState
@@ -38,7 +37,19 @@ def take_sample(state: FunctionState, power: PowerModel,
 
 
 def render_sample(sample: dict) -> str:
-    return json.dumps(sample) + "\n"
+    """One wire line of a `take_sample` record, in its field order.
+
+    Byte for byte `json.dumps(sample) + "\\n"`: the domain is a plain ASCII
+    name and every number a finite float or an int, whose `repr` is its JSON
+    text.
+    """
+    mse = f', "last_mse": {sample["last_mse"]!r}' if "last_mse" in sample else ""
+    return (f'{{"timestamp_us": {sample["timestamp_us"]!r}, "domain": "{sample["domain"]}",'
+            f' "points": {sample["points"]!r}, "ddr_mw": {sample["ddr_mw"]!r},'
+            f' "apu_mw": {sample["apu_mw"]!r}, "pl_mw": {sample["pl_mw"]!r},'
+            f' "total_mw": {sample["total_mw"]!r},'
+            f' "last_exec_time_us": {sample["last_exec_time_us"]!r}{mse},'
+            f' "generation": {sample["generation"]!r}}}\n')
 
 
 def export_to_file(samples, path) -> int:

@@ -419,6 +419,18 @@ class TestEmit:
         code, _ = run_cli(["emit", "--target", f"{host}:{port}", "--faces", "1"])
         assert code == cli.EXIT_RUNTIME_ERROR
 
+    def test_negative_faces_send_nothing(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            code, out = run_cli(["emit", "--target", f"{host}:{port}",
+                                 "--faces", "1", "--faces", "-1"])
+            assert code == cli.EXIT_CONFIG_ERROR
+            assert out == ""
+            # emit connects synchronously, so a connection would be waiting
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
 
 class TestProfiles:
     def test_custom_profile_swaps_tables(self, tmp_path):

@@ -237,3 +237,80 @@ class TestInputBlocks:
                     fft_engines.fft_float(expected), fft_engines.dequantize(fixed) * n)
             else:
                 assert report.mse is None
+
+
+class TestInputBuffers:
+    """Each controller draws its blocks into buffers of its own, and nothing a
+    decision returns or an FFT keeps refers to them."""
+
+    FACES = TestInputBlocks.FACES
+
+    def test_interleaved_controllers_match_solo_runs(self, monkeypatch):
+        def solo(seed):
+            c = ctl.Controller(seed=seed)
+            return [c.process_event(event)[2] for event in make_events(self.FACES)]
+
+        expected = solo(5), solo(6)
+        blocks = []
+        fft_float = fft_engines.fft_float
+
+        def recording(x):
+            blocks.append(x)
+            return fft_float(x)
+
+        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        a, b = ctl.Controller(seed=5), ctl.Controller(seed=6)
+        got = [], []
+        for event in make_events(self.FACES):
+            got[0].append(a.process_event(event)[2])
+            got[1].append(b.process_event(event)[2])
+        assert got == expected
+        # the two controllers never hand the FFT the same memory
+        assert not any(np.shares_memory(x, y) for x, y in zip(blocks[0::2], blocks[1::2]))
+
+    def test_results_are_not_overwritten_by_later_events(self, monkeypatch):
+        outputs = []
+        fft_float = fft_engines.fft_float
+
+        def recording(x):
+            out = fft_float(x)
+            outputs.append((out, out.copy()))
+            return out
+
+        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        c = ctl.Controller(seed=0)
+        _, _, first_pl = c.process_event(FaceEvent(2, 1, 0))
+        for event in make_events(self.FACES * 3):
+            c.process_event(event)
+        assert first_pl.mse == ctl.Controller(seed=0).process_event(FaceEvent(2, 1, 0))[2].mse
+        assert len(outputs) > 1
+        for out, copy in outputs:
+            assert np.array_equal(out, copy)
+
+
+class TestRecords:
+    def test_process_event_returns_state_action_report(self):
+        c = ctl.Controller(seed=0)
+        event = FaceEvent(2, 1, 0)
+        result = c.process_event(event)
+        assert isinstance(result, tuple) and len(result) == 3
+        state, action, report = result
+        assert isinstance(state, ctl.FunctionState)
+        assert isinstance(action, ctl.ReconfigAction)
+        assert isinstance(report, ctl.ExecutionReport)
+        assert (report.event, report.state, report.action) == (event, state, action)
+
+    @pytest.mark.parametrize("field", ["faces", "seq", "timestamp_us"])
+    def test_event_is_immutable(self, field):
+        event = FaceEvent(1, 2, 3)
+        with pytest.raises(AttributeError):
+            setattr(event, field, 0)
+        assert not hasattr(event, "__dict__")
+        assert event == FaceEvent(1, 2, 3)
+
+    @pytest.mark.parametrize("field", ["event", "state", "action", "exec_time_us", "mse"])
+    def test_report_is_immutable(self, field):
+        _, _, report = ctl.Controller(seed=0).process_event(FaceEvent(2, 1, 0))
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+        assert not hasattr(report, "__dict__")

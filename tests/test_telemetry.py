@@ -3,6 +3,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from socrm import controller as ctl
 from socrm import telemetry as tm
@@ -88,6 +90,30 @@ class TestSerialization:
             ' "apu_mw": 2024.0, "pl_mw": 1365.0, "total_mw": 4354.0,'
             ' "last_exec_time_us": 8.7, "last_mse": 0.00125, "generation": 1}\n',
         ]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=0)
+numbers = finite_floats | counts
+
+
+@st.composite
+def records(draw):
+    """Records in `take_sample`'s field order, with and without `last_mse`."""
+    sample = {"timestamp_us": draw(counts), "domain": draw(st.sampled_from([ctl.APU, ctl.PL])),
+              "points": draw(counts), "ddr_mw": draw(numbers), "apu_mw": draw(numbers),
+              "pl_mw": draw(numbers), "total_mw": draw(numbers),
+              "last_exec_time_us": draw(numbers)}
+    if draw(st.booleans()):
+        sample["last_mse"] = draw(finite_floats)
+    sample["generation"] = draw(counts)
+    return sample
+
+
+class TestRenderer:
+    @given(records())
+    def test_matches_json_dumps(self, sample):
+        assert tm.render_sample(sample) == json.dumps(sample) + "\n"
 
 
 class TestExport:
