@@ -58,7 +58,8 @@ def _is_number(value) -> bool:
 def _is_trace(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(entry, list) and len(entry) == 2
-        and all(_is_int(v) and v >= 0 for v in entry) for entry in value)
+        and all(_is_int(v) and 0 <= v <= event_bus.MAX_FIELD for v in entry)
+        for entry in value)
 
 
 def _is_optional_str(value) -> bool:
@@ -77,7 +78,7 @@ RUN_FIELD_CHECKS = {
                      "a finite number > 0"),
     "fast_forward": (lambda v: isinstance(v, bool), "true or false"),
     "trace": (lambda v: v is None or _is_trace(v),
-              "a list of [delay_us, faces] pairs of non-negative integers"),
+              f"a list of [delay_us, faces] pairs of integers in [0, {event_bus.MAX_FIELD}]"),
     **{key: (_is_optional_str, "a string or null") for key in (
         "trace_path", "listen", "telemetry_file", "telemetry_socket", "profile")},
 }
@@ -342,9 +343,9 @@ def cmd_verify(inject_fault: bool = False, out=None) -> int:
 def cmd_emit(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     address = _parse_address(args.target)
-    negative = [faces for faces in args.faces if faces < 0]
-    if negative:  # checked before connecting, so a bad list sends nothing
-        raise ConfigError(f"face counts must be non-negative, got {negative}")
+    bad = [faces for faces in args.faces if not 0 <= faces <= event_bus.MAX_FIELD]
+    if bad:  # checked before connecting, so a bad list sends nothing
+        raise ConfigError(f"face counts must be in [0, {event_bus.MAX_FIELD}], got {bad}")
     with event_bus.Emitter(address) as emitter:
         for faces in args.faces:
             event = emitter.emit(faces)

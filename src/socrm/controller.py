@@ -146,10 +146,6 @@ class Controller:
         self._state = initial_state()
         self._buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    @property
-    def state(self) -> FunctionState:
-        return self._state
-
     def process_event(self, event: FaceEvent):
         """decide -> plan -> apply, then execute one FFT of the new config."""
         target = decide(event.faces)

@@ -31,6 +31,12 @@ class TransportError(ConnectionError):
     """Send or connect failed; no partial state is kept."""
 
 
+# the largest integer an event input may carry (a wire field, or a trace's
+# delay or face count): exact in a double, so dwell and energy sums cannot
+# overflow, and as a delay in microseconds within the range of time.sleep
+MAX_FIELD = 2 ** 53 - 1
+
+
 class FaceEvent(NamedTuple):
     faces: int
     seq: int
@@ -59,8 +65,8 @@ def decode_event(line: str) -> FaceEvent:
     for name, value in (("faces", faces), ("seq", seq), ("timestamp_us", timestamp_us)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ProtocolError(f"{name} must be an integer in {line!r}")
-        if value < 0:
-            raise ProtocolError(f"{name} must be non-negative in {line!r}")
+        if not 0 <= value <= MAX_FIELD:
+            raise ProtocolError(f"{name} must be in [0, {MAX_FIELD}] in {line!r}")
     return FaceEvent(faces, seq, timestamp_us)
 
 
@@ -227,8 +233,8 @@ class Emitter:
             raise TransportError(f"cannot connect to {target}: {exc}") from exc
 
     def emit(self, faces: int) -> FaceEvent:
-        if faces < 0:
-            raise ValueError("face count must be non-negative")
+        if not 0 <= faces <= MAX_FIELD:
+            raise ValueError(f"face count must be in [0, {MAX_FIELD}]")
         self._seq += 1
         event = FaceEvent(faces, self._seq,
                           int((time.monotonic() - self._start) * 1e6))
@@ -280,7 +286,7 @@ def load_trace(path) -> list[tuple[int, int]]:
             if len(parts) != 2:
                 raise ValueError(f"bad trace line: {raw!r}")
             delay_us, faces = int(parts[0]), int(parts[1])
-            if delay_us < 0 or faces < 0:
-                raise ValueError(f"negative value in trace line: {raw!r}")
+            if not (0 <= delay_us <= MAX_FIELD and 0 <= faces <= MAX_FIELD):
+                raise ValueError(f"value outside [0, {MAX_FIELD}] in trace line: {raw!r}")
             trace.append((delay_us, faces))
     return trace

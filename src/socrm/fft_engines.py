@@ -89,25 +89,16 @@ class FftPlan:
     twiddles_q15_re: np.ndarray = field(repr=False)
     twiddles_q15_im: np.ndarray = field(repr=False)
 
-    @classmethod
-    def create(cls, points: int) -> "FftPlan":
-        _check_size(points)
-        k = np.arange(points // 2)
-        tw = np.exp(-2j * np.pi * k / points)
-        tw_re = np.clip(np.round(tw.real * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
-        tw_im = np.clip(np.round(tw.imag * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
-        return cls(points, _bit_reverse_permutation(points), tw_re, tw_im)
 
-
-_plan_cache: dict[int, FftPlan] = {}
-
-
+@functools.cache
 def get_plan(points: int) -> FftPlan:
-    plan = _plan_cache.get(points)
-    if plan is None:
-        plan = FftPlan.create(points)
-        _plan_cache[points] = plan
-    return plan
+    """The one plan of each size; an invalid size raises and is not cached."""
+    _check_size(points)
+    k = np.arange(points // 2)
+    tw = np.exp(-2j * np.pi * k / points)
+    tw_re = np.clip(np.round(tw.real * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
+    tw_im = np.clip(np.round(tw.imag * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
+    return FftPlan(points, _bit_reverse_permutation(points), tw_re, tw_im)
 
 
 def _as_complex_block(x, points: int) -> np.ndarray:
@@ -121,13 +112,14 @@ def _as_complex_block(x, points: int) -> np.ndarray:
     return a
 
 
-def fft_float(x, points: int | None = None) -> np.ndarray:
+def fft_float(x) -> np.ndarray:
     """Unnormalized forward DFT, natural-order output, double precision.
 
+    The transform size is the block's length, a power of two >= 2.
     Bit-identical to `numpy.fft.fft` on the validated block: it is the same
     gufunc call, with the scale factor 1 and a fresh output array.
     """
-    points = len(x) if points is None else points
+    points = len(x)
     _check_size(points)
     a = _as_complex_block(x, points)
     if _pocketfft_fft is None:
@@ -140,9 +132,9 @@ def float_entry() -> str:
     return "numpy.fft.fft" if _pocketfft_fft is None else "pocketfft gufunc"
 
 
-def ifft_float(x, points: int | None = None) -> np.ndarray:
+def ifft_float(x) -> np.ndarray:
     """Inverse DFT with 1/N normalization; inverts fft_float."""
-    points = len(x) if points is None else points
+    points = len(x)
     _check_size(points)
     return np.fft.ifft(_as_complex_block(x, points))
 
@@ -188,14 +180,16 @@ def _rshift_round(v: np.ndarray, bits: int) -> np.ndarray:
     return (v + (1 << (bits - 1))) >> bits
 
 
-def fft_fixed(block: FixedBlock, points: int | None = None) -> FixedBlock:
+def fft_fixed(block: FixedBlock) -> FixedBlock:
     """Radix-2 fixed-point FFT with per-stage scaling by 1/2.
 
-    Output represents DFT(x)/N in Q1.15.  All arithmetic is 64-bit integer,
-    so results are bit-identical across runs and platforms, and between the
-    compiled stage loop and the NumPy one (`active_kernel`).
+    The transform size is the length of `block.re`, a power of two >= 2, and
+    `block.im` must match it.  Output represents DFT(x)/N in Q1.15.  All
+    arithmetic is 64-bit integer, so results are bit-identical across runs and
+    platforms, and between the compiled stage loop and the NumPy one
+    (`active_kernel`).
     """
-    plan = get_plan(len(block) if points is None else points)
+    plan = get_plan(len(block))
     n = plan.points
     re = np.asarray(block.re, dtype=np.int64)
     im = np.asarray(block.im, dtype=np.int64)

@@ -144,15 +144,10 @@ def build_offload_budget(numerology: NumerologyConfig,
     """Budget with transfer steps computed from the DMA arithmetic.
 
     compute_us is caller-supplied: the <= 10 us software iFFT figure is a
-    bare-metal bound and OS jitter on top of it is unquantified.
+    bare-metal bound and OS jitter on top of it is unquantified.  The steps
+    are those of `TARGET_STEPS`, in its order.
     """
-    if compute_us <= 0 or interrupt_us <= 0:
-        raise ValueError("latencies must be positive")
-    transfer_us = dma_transfer_latency(transfer_bytes, throughput)
-    steps = [
-        BudgetStep("PL -> OCM (freq symbols)", transfer_us, "transfer"),
-        BudgetStep("APU iFFT (FFTW)", compute_us, "compute"),
-        BudgetStep("OCM -> PL (time samples)", transfer_us, "transfer"),
-        BudgetStep("Interrupts", interrupt_us, "signaling"),
-    ]
+    latency = {"transfer": dma_transfer_latency(transfer_bytes, throughput),
+               "compute": compute_us, "signaling": interrupt_us}
+    steps = [BudgetStep(name, latency[kind], kind) for name, _, kind in TARGET_STEPS]
     return _assemble(steps, numerology.symbol_us, "computed")

@@ -13,10 +13,8 @@ from types import MappingProxyType
 
 from .fft_engines import APU, PL
 
-# static (idle) rail power in mW when the domain is not hosting the function
-STATIC_MW = {APU: 2024.0, PL: 1187.0}
-
-# (domain, points) -> (ddr_mw, apu_mw, pl_mw); the non-hosting rail is static
+# (domain, points) -> (ddr_mw, apu_mw, pl_mw); the non-hosting rail is at its
+# static power (APU 2024, PL 1187), which has no other home
 DEFAULT_POWER_PROFILE = {
     (APU, 8): (425.0, 2064.0, 1187.0),
     (APU, 1024): (537.0, 2224.0, 1187.0),
@@ -41,10 +39,9 @@ class PowerBreakdown:
 class PowerModel:
     """Read-only power table; every row is built once, when the model is."""
 
-    def __init__(self, profile: dict | None = None, static_mw: dict | None = None):
+    def __init__(self, profile: dict | None = None):
         self.profile = MappingProxyType(
             dict(DEFAULT_POWER_PROFILE if profile is None else profile))
-        self.static_mw = dict(STATIC_MW if static_mw is None else static_mw)
         self._rows = {(domain, points): PowerBreakdown(
                           ddr, apu, pl, ddr + apu + pl,
                           frozenset({PL} if domain == APU else {APU}))
@@ -59,6 +56,3 @@ class PowerModel:
         except KeyError:
             raise UncalibratedConfigError(
                 f"no calibrated power row for ({domain}, {points})") from None
-
-    def static_power(self, rail: str) -> float:
-        return self.static_mw[rail]

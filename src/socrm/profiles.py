@@ -6,13 +6,13 @@ device's calibration.  Layout:
 
     {
       "timing_us": {"APU": {"8": 0.28, ...}, "PL": {...}},
-      "power_mw":  {"APU": {"8": [425, 2064, 1187], ...}, "PL": {...}},
-      "static_mw": {"APU": 2024, "PL": 1187}
+      "power_mw":  {"APU": {"8": [425, 2064, 1187], ...}, "PL": {...}}
     }
 
 Every key and value is checked: FFT sizes are powers of two >= 2, times are
-finite numbers > 0, power rows are three finite numbers >= 0 and static
-powers are finite numbers >= 0.  Anything else is a ProfileError.
+finite numbers > 0 and power rows are three finite numbers >= 0.  Anything
+else is a ProfileError, including any other top-level key: a rail's static
+power is the non-hosting rail of the power rows, so it has no section.
 """
 
 from __future__ import annotations
@@ -44,15 +44,11 @@ def _power_row(value, where: str) -> tuple[float, float, float]:
     return tuple(_number(v, where) for v in value)
 
 
-def _domains(obj, where: str) -> dict:
-    if not isinstance(obj, dict) or not set(obj) <= {APU, PL}:
-        raise ValueError(f"{where} must be an object keyed by {APU!r}/{PL!r}")
-    return obj
-
-
 def _flatten(section, name: str, convert) -> dict:
+    if not isinstance(section, dict) or not set(section) <= {APU, PL}:
+        raise ValueError(f"{name} must be an object keyed by {APU!r}/{PL!r}")
     flat = {}
-    for domain, by_points in _domains(section, name).items():
+    for domain, by_points in section.items():
         if not isinstance(by_points, dict):
             raise ValueError(f"{name}.{domain} must be an object keyed by FFT size")
         for key, value in by_points.items():
@@ -70,9 +66,9 @@ def load_profile(path) -> dict:
             obj = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ProfileError(f"cannot load profile {path}: {exc}") from exc
-    if not isinstance(obj, dict) or not set(obj) <= {"timing_us", "power_mw", "static_mw"}:
+    if not isinstance(obj, dict) or not set(obj) <= {"timing_us", "power_mw"}:
         raise ProfileError(f"profile {path} must be an object with only the keys"
-                           " timing_us, power_mw and static_mw")
+                           " timing_us and power_mw")
     out = {}
     try:
         if "timing_us" in obj:
@@ -80,9 +76,6 @@ def load_profile(path) -> dict:
                                      lambda v, where: _number(v, where, positive=True))
         if "power_mw" in obj:
             out["power"] = _flatten(obj["power_mw"], "power_mw", _power_row)
-        if "static_mw" in obj:
-            out["static"] = {domain: _number(v, f"static_mw.{domain}") for domain, v
-                             in _domains(obj["static_mw"], "static_mw").items()}
     except (ValueError, OverflowError) as exc:
         raise ProfileError(f"malformed profile {path}: {exc}") from exc
     return out
@@ -94,5 +87,4 @@ def models_from_profile(path=None, **timing_kwargs) -> tuple[TimingModel, PowerM
         return TimingModel(**timing_kwargs), PowerModel()
     loaded = load_profile(path)
     timing = TimingModel(profile=loaded.get("timing"), **timing_kwargs)
-    power = PowerModel(profile=loaded.get("power"), static_mw=loaded.get("static"))
-    return timing, power
+    return timing, PowerModel(profile=loaded.get("power"))

@@ -40,8 +40,6 @@ TABLE_EXTRACTED = {(APU, 2048), (APU, 4096), (PL, 8), (PL, 1024)}
 # only so renderers can flag the discrepancy
 PRINTED_ACCELERATION = {8: 7.9, 1024: 9.3, 2048: 13.1, 4096: 15.4}
 
-CALIBRATED_SIZES = (8, 1024, 2048, 4096)
-
 
 class UncalibratedSizeError(KeyError):
     """No calibrated timing entry for the requested (domain, size)."""

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from socrm import cli, fft_engines
-from socrm.event_bus import Emitter, EventServer, TransportError
+from socrm.event_bus import MAX_FIELD, Emitter, EventServer
 
 
 def run_cli(argv):
@@ -211,6 +211,24 @@ class TestRun:
         assert code == 0
         assert "events processed: 1" in out
 
+    def test_live_field_over_bound_is_a_malformed_line(self):
+        code, out = _run_live("0.5", [
+            '{"faces": 0, "seq": 1, "timestamp_us": 0}\n',
+            '{"faces": 1, "seq": 2, "timestamp_us": %d}\n' % 10 ** 400,
+            '{"faces": 2, "seq": 3, "timestamp_us": %d}\n' % MAX_FIELD])
+        assert code == 0
+        assert "events processed: 2" in out
+        assert "malformed lines: 1, dropped events: 0" in out
+        assert f"dwell {MAX_FIELD} us" in out
+
+    def test_largest_field_value_runs(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"0 0\n{MAX_FIELD} {MAX_FIELD}\n0 1\n")
+        code, out = run_cli(["run", "--trace", str(trace)])
+        assert code == 0
+        assert f"(APU, 8): dwell {MAX_FIELD} us" in out
+        assert f"faces={MAX_FIELD} t={MAX_FIELD}us" in out
+
     def test_sink_reset_mid_stream_keeps_the_summary(self, tmp_path, capsys,
                                                       resetting_sink):
         (host, port), received = resetting_sink
@@ -267,6 +285,9 @@ class TestRun:
         ({}, "0 1\n0 -1\n"),
         ({}, "-5 1\n"),
         ({"idle_timeout": 10 ** 400}, None),
+        ({"trace": [[0, 0], [MAX_FIELD + 1, 1]]}, None),
+        ({"trace": [[0, MAX_FIELD + 1]]}, None),
+        ({}, f"0 0\n{MAX_FIELD + 1} 1\n"),
         ({"idle_timeout": float("inf")}, None),
     ])
     def test_bad_run_input_is_config_error(self, tmp_path, scenario, trace_text):
@@ -304,9 +325,10 @@ class TestRun:
         assert code == cli.EXIT_RUNTIME_ERROR
 
 
-def _run_live(idle_timeout: str):
-    """`socrm run --listen` on a free port with --max-events 1, fed one
-    faces=2 event by an external emitter; returns (exit code, stdout)."""
+def _run_live(idle_timeout: str, lines=None):
+    """`socrm run --listen` on a free port, fed either one faces=2 event by an
+    external emitter with --max-events 1, or the raw wire `lines` over one
+    connection until the run idles out; returns (exit code, stdout)."""
     # bind our own server first to learn a free port, then reuse it
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -315,21 +337,27 @@ def _run_live(idle_timeout: str):
 
     result = {}
 
+    argv = ["run", "--listen", f"{host}:{port}", "--idle-timeout", idle_timeout]
+    if lines is None:
+        argv += ["--max-events", "1"]
+
     def run():
-        result["ret"] = run_cli(["run", "--listen", f"{host}:{port}",
-                                 "--max-events", "1",
-                                 "--idle-timeout", idle_timeout])
+        result["ret"] = run_cli(argv)
 
     t = threading.Thread(target=run)
     t.start()
-    # wait for the server to come up, then emit one event
+    # wait for the server to come up, then send
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         try:
-            with Emitter((host, port)) as emitter:
-                emitter.emit(2)
+            if lines is None:
+                with Emitter((host, port)) as emitter:
+                    emitter.emit(2)
+            else:
+                with socket.create_connection((host, port)) as sock:
+                    sock.sendall("".join(lines).encode())
             break
-        except TransportError:
+        except OSError:  # a TransportError too: the server is not up yet
             time.sleep(0.05)
     t.join(timeout=10)
     assert not t.is_alive()
@@ -342,7 +370,7 @@ RESET_TRACE_EVENTS = 10_000
 
 
 def _full_profile():
-    from socrm.power_model import DEFAULT_POWER_PROFILE, STATIC_MW
+    from socrm.power_model import DEFAULT_POWER_PROFILE
     from socrm.timing_model import DEFAULT_TIMING_PROFILE
 
     def nest(flat):
@@ -351,8 +379,7 @@ def _full_profile():
             out.setdefault(domain, {})[str(points)] = value
         return out
     return {"timing_us": nest(DEFAULT_TIMING_PROFILE),
-            "power_mw": nest({k: list(v) for k, v in DEFAULT_POWER_PROFILE.items()}),
-            "static_mw": dict(STATIC_MW)}
+            "power_mw": nest({k: list(v) for k, v in DEFAULT_POWER_PROFILE.items()})}
 
 
 def _edited(path, value):
@@ -382,8 +409,8 @@ def _edited(path, value):
     pytest.param(_edited(["timing_us", "APU", "7"], 1.0), id="size-not-power-of-two"),
     pytest.param(_edited(["timing_us", "APU", "1"], 1.0), id="size-one"),
     pytest.param(_edited(["timing_us", "GPU"], {"8": 1.0}), id="unknown-domain"),
-    pytest.param(_edited(["static_mw", "PL"], -1), id="negative-static"),
-    pytest.param(_edited(["static_mw", "APU"], True), id="bool-static"),
+    # static rail power lives in the power rows alone, so this section is refused
+    pytest.param(_edited(["static_mw"], {"APU": 2024, "PL": 1187}), id="static-section"),
 ])
 def test_hostile_profile_is_config_error(tmp_path, profile):
     path = tmp_path / "profile.json"
@@ -473,7 +500,8 @@ profiles = json_values | st.fixed_dictionaries({}, optional={
 })
 trace_lines = st.tuples(st.integers(-3, 10 ** 6), st.integers(-3, 9)).map(
     lambda pair: f"{pair[0]} {pair[1]}") | st.sampled_from(
-    ["", "# comment", "1 2 # comment", "1", "1 2 3", "x 1", "1_0 2", "\u0661 2"])
+    ["", "# comment", "1 2 # comment", "1", "1 2 3", "x 1", "1_0 2", "\u0661 2",
+     f"{2**53} 1"])
 trace_texts = st.text() | st.lists(trace_lines, max_size=8).map("\n".join)
 scenarios = st.dictionaries(
     st.sampled_from(sorted(cli.RUN_FIELD_CHECKS) + ["mechanism", "unknown"]),

@@ -1,5 +1,6 @@
 import contextlib
 import resource
+import signal
 import socket
 import threading
 import time
@@ -20,9 +21,9 @@ def server():
 
 events_strategy = st.builds(
     eb.FaceEvent,
-    faces=st.integers(min_value=0, max_value=1_000_000),
-    seq=st.integers(min_value=1, max_value=2 ** 40),
-    timestamp_us=st.integers(min_value=0, max_value=2 ** 50),
+    faces=st.integers(min_value=0, max_value=eb.MAX_FIELD),
+    seq=st.integers(min_value=1, max_value=eb.MAX_FIELD),
+    timestamp_us=st.integers(min_value=0, max_value=eb.MAX_FIELD),
 )
 
 
@@ -44,6 +45,8 @@ class TestWireFormat:
         '{"seq":1,"timestamp_us":0}',
         '{"faces":1,"seq":1}',
         '{"faces":1,"seq":-1,"timestamp_us":0}',
+        pytest.param('{"faces":1,"seq":1,"timestamp_us":%d}' % (eb.MAX_FIELD + 1),
+                     id="timestamp-over-max-field"),
         pytest.param("[" * 100000, id="deep-nesting"),
         pytest.param('{"faces":' + "9" * 5000 + ',"seq":1,"timestamp_us":0}',
                      id="5000-digit-faces"),
@@ -336,6 +339,9 @@ class TestEmitter:
         with eb.Emitter(server.address) as emitter:
             with pytest.raises(ValueError):
                 emitter.emit(-1)
+            with pytest.raises(ValueError):
+                emitter.emit(eb.MAX_FIELD + 1)
+            assert emitter.emit(0).seq == 1
 
 
 class TestReplay:
@@ -364,6 +370,23 @@ class TestReplay:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             list(eb.replay([(-1, 0)], fast_forward=True))
+
+    def test_wall_clock_sleeps_the_longest_delay(self):
+        # time.sleep accepts MAX_FIELD us (about 285 years); an alarm ends it
+        class Alarm(Exception):
+            pass
+
+        def ring(signum, frame):
+            raise Alarm
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Alarm):
+                list(eb.replay([(eb.MAX_FIELD, 0)], fast_forward=False))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def test_load_trace(tmp_path):

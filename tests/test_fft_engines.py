@@ -69,10 +69,6 @@ class TestFftFloat:
         freq_e = np.sum(np.abs(fe.fft_float(x)) ** 2) / n
         assert abs(time_e - freq_e) / time_e < 1e-9
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(fe.SizeMismatchError):
-            fe.fft_float(np.zeros(7), points=8)
-
     def test_rejects_non_power_of_two(self):
         with pytest.raises(fe.InvalidSizeError):
             fe.fft_float(np.zeros(12))
@@ -275,7 +271,7 @@ class TestFftFixed:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(fe.SizeMismatchError):
-            fe.fft_fixed(fe.quantize(np.zeros(8, dtype=complex)), points=16)
+            fe.fft_fixed(fe.FixedBlock(np.zeros(8), np.zeros(16)))
 
 
     def test_rejects_non_1d_halves(self):
@@ -398,3 +394,11 @@ class TestMse:
 
 def test_plans_are_cached_and_reused():
     assert fe.get_plan(1024) is fe.get_plan(1024)
+
+
+def test_invalid_plan_size_raises_and_is_not_cached():
+    cached = fe.get_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(fe.InvalidSizeError):
+            fe.get_plan(12)
+    assert fe.get_plan.cache_info().currsize == cached
