@@ -410,7 +410,10 @@ def _edited(path, value):
     pytest.param(_edited(["timing_us", "APU", "1"], 1.0), id="size-one"),
     pytest.param(_edited(["timing_us", "GPU"], {"8": 1.0}), id="unknown-domain"),
     # static rail power lives in the power rows alone, so this section is refused
+    # whatever it holds
     pytest.param(_edited(["static_mw"], {"APU": 2024, "PL": 1187}), id="static-section"),
+    pytest.param(_edited(["static_mw"], {"APU": 2024, "PL": -1}), id="negative-static"),
+    pytest.param(_edited(["static_mw"], {"APU": True, "PL": 1187}), id="bool-static"),
 ])
 def test_hostile_profile_is_config_error(tmp_path, profile):
     path = tmp_path / "profile.json"
