@@ -7,7 +7,7 @@
  * the output is bit-identical for every input.  `top * 32768` stands for the
  * loop's `top << 15`, which C leaves undefined for negative values.
  *
- * re, im: n bit-reversed samples, transformed in place and saturated to
+ * re, im: n bit-reversed samples, transformed in place and clipped to
  * [-32768, 32767].  tw_re, tw_im: the n/2 Q1.15 twiddles exp(-2*pi*i*k/n).
  */
 #include <stdint.h>

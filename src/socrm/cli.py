@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit() or int(port) > 65535:
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"address must be host:port with a port in 0-65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
@@ -57,29 +57,28 @@ def _is_number(value) -> bool:
 
 def _is_trace(value) -> bool:
     return isinstance(value, list) and all(
-        isinstance(entry, list) and len(entry) == 2
-        and all(_is_int(v) and 0 <= v <= event_bus.MAX_FIELD for v in entry)
+        isinstance(entry, list) and len(entry) == 2 and all(map(event_bus.is_field, entry))
         for entry in value)
 
 
-def _is_optional_str(value) -> bool:
-    return value is None or isinstance(value, str)
-
-
-# merged run field -> (validity test, what a valid value is)
-RUN_FIELD_CHECKS = {
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+# run field -> (default, validity test, what a valid value is), checked in
+# this order; a scenario may set any of them, and a flag overrides it
+RUN_FIELDS = {
+    "mechanism": (controller.CLOCK_GATING, lambda v: v in controller.MECHANISMS,
+                  " or ".join(controller.MECHANISMS)),
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     # a jitter fraction of 1 or more can make a sampled APU time negative
-    "jitter": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "max_events": (lambda v: v is None or (_is_int(v) and v >= 1),
+    "jitter": (0.0, lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "max_events": (None, lambda v: v is None or (_is_int(v) and v >= 1),
                    "an integer >= 1 or null"),
     # an int beyond the largest float would overflow the server's deadline
-    "idle_timeout": (lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+    "idle_timeout": (5.0, lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
                      "a finite number > 0"),
-    "fast_forward": (lambda v: isinstance(v, bool), "true or false"),
-    "trace": (lambda v: v is None or _is_trace(v),
+    "fast_forward": (True, lambda v: isinstance(v, bool), "true or false"),
+    "trace": (None, lambda v: v is None or _is_trace(v),
               f"a list of [delay_us, faces] pairs of integers in [0, {event_bus.MAX_FIELD}]"),
-    **{key: (_is_optional_str, "a string or null") for key in (
+    **{key: (None, lambda v: v is None or (isinstance(v, str) and v != ""),
+             "a non-empty string or null") for key in (
         "trace_path", "listen", "telemetry_file", "telemetry_socket", "profile")},
 }
 
@@ -105,10 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario")
     p_run.add_argument("config", nargs="?", help="scenario JSON file")
-    p_run.add_argument("--trace", help="trace file (delay_us faces per line)")
+    p_run.add_argument("--trace", dest="trace_path", metavar="TRACE",
+                       help="trace file (delay_us faces per line)")
     p_run.add_argument("--listen", help="host:port to accept live events on")
-    p_run.add_argument("--mechanism", choices=[controller.CLOCK_GATING,
-                                               controller.PARTIAL_BITSTREAM])
+    p_run.add_argument("--mechanism", choices=controller.MECHANISMS)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--jitter", type=float,
                        help="APU timing jitter fraction, e.g. 0.1")
@@ -121,8 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--profile", help="hardware profile JSON")
     p_run.add_argument("--max-events", type=int,
                        help="stop live mode after this many events")
-    p_run.add_argument("--idle-timeout", type=float, default=None,
-                       help="live mode: stop after this many idle seconds (default 5)")
+    p_run.add_argument("--idle-timeout", type=float, help=(
+        "live mode: stop after this many idle seconds"
+        f" (default {RUN_FIELDS['idle_timeout'][0]:g})"))
 
     sub.add_parser("tables", help="render the calibration tables")
 
@@ -138,41 +138,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_run_config(args) -> dict:
-    cfg = {
-        "mechanism": controller.CLOCK_GATING,
-        "seed": 0,
-        "jitter": 0.0,
-        "fast_forward": True,
-        "trace": None,
-        "trace_path": None,
-        "listen": None,
-        "telemetry_file": None,
-        "telemetry_socket": None,
-        "profile": None,
-        "max_events": None,
-        "idle_timeout": 5.0,
-    }
+    cfg = {key: default for key, (default, _, _) in RUN_FIELDS.items()}
     if args.config:
         scenario = _load_scenario(args.config)
         unknown = set(scenario) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         cfg.update(scenario)
-    for key in ("trace", "listen", "mechanism", "seed", "jitter",
-                "telemetry_file", "telemetry_socket", "profile",
-                "max_events", "idle_timeout"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg["trace_path" if key == "trace" else key] = value
-    if args.wall_clock:
-        cfg["fast_forward"] = False
-    elif args.fast_forward:
-        cfg["fast_forward"] = True
+    # a flag left out is None; --wall-clock wins over --fast-forward
+    flags = {**vars(args), "fast_forward": False if args.wall_clock else args.fast_forward}
+    cfg.update((key, flags[key]) for key in RUN_FIELDS if flags.get(key) is not None)
     if cfg["listen"] and (cfg["trace"] or cfg["trace_path"]):
         raise ConfigError("choose either a trace or a listen address, not both")
-    if cfg["mechanism"] not in (controller.CLOCK_GATING, controller.PARTIAL_BITSTREAM):
-        raise ConfigError(f"unknown mechanism {cfg['mechanism']!r}")
-    for key, (valid, expected) in RUN_FIELD_CHECKS.items():
+    for key, (_, valid, expected) in RUN_FIELDS.items():
         if not valid(cfg[key]):
             raise ConfigError(f"{key} must be {expected}, got {cfg[key]!r}")
     return cfg
@@ -252,37 +230,42 @@ def cmd_run(args, out=None) -> int:
 
 
 def _write_summary(out, reports, power, delivered, server):
+    # One pass over the reports.  A report's dwell is the time to the next
+    # event, or 0 when that comes earlier (two emitters' clocks interleave)
+    # or there is none.  `dwell` keeps first-appearance order, which is the
+    # order energy_mj sums in.
     out.write("== action log ==\n")
+    dwell: dict = {}
+    reconfigurations = 0
+    prev = None
     for r in reports:
-        a = r.action
-        line = (f"event seq={r.event.seq} faces={r.event.faces} t={r.event.timestamp_us}us"
+        event, a = r.event, r.action
+        if prev is not None:
+            key = prev.state.config
+            dwell[key] = dwell.get(key, 0) + max(0, event.timestamp_us - prev.event.timestamp_us)
+        line = (f"event seq={event.seq} faces={event.faces} t={event.timestamp_us}us"
                 f" -> {a.kind} {a.from_config} -> {a.to_config}"
                 f" overhead={a.overhead_us:.0f}us")
         if r.mse is not None:
             line += f" mse={r.mse:.3e}"
         out.write(line + "\n")
+        if a.kind != controller.NO_OP:
+            reconfigurations += 1
+        prev = r
+    if prev is not None:
+        dwell.setdefault(prev.state.config, 0)
 
     out.write("== dwell / energy ==\n")
-    dwell: dict = {}
-    for i, r in enumerate(reports):
-        if i + 1 < len(reports):
-            span = reports[i + 1].event.timestamp_us - r.event.timestamp_us
-        else:
-            span = 0
-        key = r.state.config
-        dwell[key] = dwell.get(key, 0) + span
     for (domain, points), us in sorted(dwell.items(), key=lambda kv: kv[0][1]):
         mw = power.power_breakdown(domain, points).total_mw
         out.write(f"({domain}, {points}): dwell {us} us @ {mw:.0f} mW\n")
     out.write(f"energy estimate: {telemetry.energy_mj(dwell, power):.3f} mJ\n")
 
     out.write("== totals ==\n")
-    non_noop = sum(1 for r in reports if r.action.kind != controller.NO_OP)
     out.write(f"events processed: {len(reports)}\n")
-    out.write(f"reconfigurations applied: {non_noop}\n")
-    if reports:
-        out.write(f"final state: {reports[-1].state.config} "
-                  f"gen={reports[-1].state.generation}\n")
+    out.write(f"reconfigurations applied: {reconfigurations}\n")
+    if prev is not None:
+        out.write(f"final state: {prev.state.config} gen={prev.state.generation}\n")
     for sink, count in delivered:
         out.write(f"telemetry delivered ({sink}): {count}\n")
     if server is not None:
@@ -343,7 +326,7 @@ def cmd_verify(inject_fault: bool = False, out=None) -> int:
 def cmd_emit(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     address = _parse_address(args.target)
-    bad = [faces for faces in args.faces if not 0 <= faces <= event_bus.MAX_FIELD]
+    bad = [faces for faces in args.faces if not event_bus.is_field(faces)]
     if bad:  # checked before connecting, so a bad list sends nothing
         raise ConfigError(f"face counts must be in [0, {event_bus.MAX_FIELD}], got {bad}")
     with event_bus.Emitter(address) as emitter:

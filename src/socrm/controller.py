@@ -32,6 +32,7 @@ from .timing_model import TimingModel
 
 CLOCK_GATING = "clock-gating"
 PARTIAL_BITSTREAM = "partial-bitstream"
+MECHANISMS = (CLOCK_GATING, PARTIAL_BITSTREAM)
 PARTIAL_BITSTREAM_OVERHEAD_US = 10_000.0
 
 NO_OP = "NoOp"

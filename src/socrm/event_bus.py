@@ -37,6 +37,11 @@ class TransportError(ConnectionError):
 MAX_FIELD = 2 ** 53 - 1
 
 
+def is_field(value) -> bool:
+    """True for an int (not a bool) in [0, MAX_FIELD]: a valid event integer."""
+    return type(value) is int and 0 <= value <= MAX_FIELD
+
+
 class FaceEvent(NamedTuple):
     faces: int
     seq: int
@@ -63,10 +68,8 @@ def decode_event(line: str) -> FaceEvent:
     except KeyError as exc:
         raise ProtocolError(f"missing field {exc} in {line!r}") from None
     for name, value in (("faces", faces), ("seq", seq), ("timestamp_us", timestamp_us)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ProtocolError(f"{name} must be an integer in {line!r}")
-        if not 0 <= value <= MAX_FIELD:
-            raise ProtocolError(f"{name} must be in [0, {MAX_FIELD}] in {line!r}")
+        if not is_field(value):
+            raise ProtocolError(f"{name} must be an integer in [0, {MAX_FIELD}] in {line!r}")
     return FaceEvent(faces, seq, timestamp_us)
 
 
@@ -233,8 +236,8 @@ class Emitter:
             raise TransportError(f"cannot connect to {target}: {exc}") from exc
 
     def emit(self, faces: int) -> FaceEvent:
-        if not 0 <= faces <= MAX_FIELD:
-            raise ValueError(f"face count must be in [0, {MAX_FIELD}]")
+        if not is_field(faces):
+            raise ValueError(f"face count must be an integer in [0, {MAX_FIELD}], got {faces!r}")
         self._seq += 1
         event = FaceEvent(faces, self._seq,
                           int((time.monotonic() - self._start) * 1e6))
@@ -286,7 +289,7 @@ def load_trace(path) -> list[tuple[int, int]]:
             if len(parts) != 2:
                 raise ValueError(f"bad trace line: {raw!r}")
             delay_us, faces = int(parts[0]), int(parts[1])
-            if not (0 <= delay_us <= MAX_FIELD and 0 <= faces <= MAX_FIELD):
+            if not (is_field(delay_us) and is_field(faces)):
                 raise ValueError(f"value outside [0, {MAX_FIELD}] in trace line: {raw!r}")
             trace.append((delay_us, faces))
     return trace

@@ -141,14 +141,10 @@ def ifft_float(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedBlock:
-    """A block of Q1.15 complex samples (raw int values in [-32768, 32767]).
-
-    `saturated` counts components clipped during quantization.
-    """
+    """A block of Q1.15 complex samples (raw int values in [-32768, 32767])."""
 
     re: np.ndarray
     im: np.ndarray
-    saturated: int = 0
 
     def __len__(self):
         return len(self.re)
@@ -166,9 +162,8 @@ def quantize(x) -> FixedBlock:
     # round half away from zero (np.round would round half to even)
     scaled = flat * Q15_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    saturated = int(np.count_nonzero((rounded > Q15_MAX) | (rounded < Q15_MIN)))
     raw = np.clip(rounded, Q15_MIN, Q15_MAX).astype(np.int64).reshape(*a.shape, 2)
-    return FixedBlock(raw[..., 0], raw[..., 1], saturated)
+    return FixedBlock(raw[..., 0], raw[..., 1])
 
 
 def dequantize(block: FixedBlock) -> np.ndarray:
@@ -203,7 +198,7 @@ def fft_fixed(block: FixedBlock) -> FixedBlock:
         # fresh contiguous int64 copies, transformed in place
         kernel(a_re.ctypes.data, a_im.ctypes.data,
                plan.twiddles_q15_re.ctypes.data, plan.twiddles_q15_im.ctypes.data, n)
-    return FixedBlock(a_re, a_im, block.saturated)
+    return FixedBlock(a_re, a_im)
 
 
 def _stages_numpy(a_re: np.ndarray, a_im: np.ndarray, plan: FftPlan):

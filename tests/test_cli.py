@@ -221,6 +221,18 @@ class TestRun:
         assert "malformed lines: 1, dropped events: 0" in out
         assert f"dwell {MAX_FIELD} us" in out
 
+    def test_backwards_timestamps_dwell_zero(self):
+        # two emitters' clocks can interleave backwards; seq alone must rise
+        code, out = _run_live("0.5", [
+            '{"faces": 0, "seq": 1, "timestamp_us": 5000}\n',
+            '{"faces": 1, "seq": 2, "timestamp_us": 1000}\n',
+            '{"faces": 0, "seq": 3, "timestamp_us": 3000}\n'])
+        assert code == 0
+        assert "events processed: 3" in out
+        assert "(APU, 8): dwell 0 us" in out
+        assert "(APU, 1024): dwell 2000 us" in out
+        assert "-" not in out.split("== dwell / energy ==")[1].split("== totals ==")[0]
+
     def test_largest_field_value_runs(self, tmp_path):
         trace = tmp_path / "trace.txt"
         trace.write_text(f"0 0\n{MAX_FIELD} {MAX_FIELD}\n0 1\n")
@@ -289,6 +301,12 @@ class TestRun:
         ({"trace": [[0, MAX_FIELD + 1]]}, None),
         ({}, f"0 0\n{MAX_FIELD + 1} 1\n"),
         ({"idle_timeout": float("inf")}, None),
+        ({"trace": [[0, True]]}, None),
+        ({"trace_path": ""}, None),
+        ({"listen": ""}, None),
+        ({"telemetry_file": ""}, None),
+        ({"telemetry_socket": ""}, None),
+        ({"profile": ""}, None),
     ])
     def test_bad_run_input_is_config_error(self, tmp_path, scenario, trace_text):
         path = tmp_path / "scenario.json"
@@ -315,10 +333,30 @@ class TestRun:
         pytest.param(["run", "--listen", "127.0.0.1:99999"], id="listen"),
         pytest.param(["run", "--telemetry-socket", "127.0.0.1:65536"], id="telemetry-socket"),
         pytest.param(["emit", "--target", "127.0.0.1:70000", "--faces", "1"], id="emit-target"),
+        pytest.param(["run", "--listen", "127.0.0.1:\u00b2"], id="listen-superscript"),
+        pytest.param(["run", "--telemetry-socket", "127.0.0.1:\u00b2"],
+                     id="telemetry-socket-superscript"),
+        pytest.param(["emit", "--target", "127.0.0.1:\u00b2", "--faces", "1"],
+                     id="emit-target-superscript"),
     ])
     def test_port_out_of_range_is_config_error(self, argv):
         code, _ = run_cli(argv)
         assert code == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("flag", ["--trace", "--listen", "--telemetry-file",
+                                      "--telemetry-socket", "--profile"])
+    def test_empty_path_flag_is_config_error(self, flag, capsys):
+        code, out = run_cli(["run", f"{flag}="])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert out == ""
+        assert "must be a non-empty string or null" in capsys.readouterr().err
+
+    def test_bad_scenario_mechanism_message(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"mechanism": "x"}))
+        assert run_cli(["run", str(path)])[0] == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == ("configuration error: mechanism must be "
+                                           "clock-gating or partial-bitstream, got 'x'\n")
 
     def test_runtime_error_exit_code(self):
         code, _ = run_cli(["run", "--trace", "/does/not/exist"])
@@ -507,7 +545,7 @@ trace_lines = st.tuples(st.integers(-3, 10 ** 6), st.integers(-3, 9)).map(
      f"{2**53} 1"])
 trace_texts = st.text() | st.lists(trace_lines, max_size=8).map("\n".join)
 scenarios = st.dictionaries(
-    st.sampled_from(sorted(cli.RUN_FIELD_CHECKS) + ["mechanism", "unknown"]),
+    st.sampled_from([*cli.RUN_FIELDS, "unknown"]),
     json_values | numbers, max_size=4)
 hostile = settings(max_examples=150, deadline=None,
                    suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -548,4 +586,5 @@ def test_any_scenario_object_merges_or_is_config_error(tmp_path, scenario):
         cfg = cli._merge_run_config(args)
     except cli.ConfigError:
         return
-    assert set(cfg) >= set(cli.RUN_FIELD_CHECKS)
+    assert set(cfg) == set(cli.RUN_FIELDS)
+    assert all(valid(cfg[key]) for key, (_, valid, _) in cli.RUN_FIELDS.items())

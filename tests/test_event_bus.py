@@ -343,6 +343,19 @@ class TestEmitter:
                 emitter.emit(eb.MAX_FIELD + 1)
             assert emitter.emit(0).seq == 1
 
+    def test_rejects_bool_faces_and_sends_nothing(self, server):
+        # True is within [0, MAX_FIELD], but `"faces": true` is a malformed line
+        with eb.Emitter(server.address) as emitter:
+            with pytest.raises(ValueError):
+                emitter.emit(True)
+        assert server.get(timeout=0.5) is None
+        assert server.malformed_count == 0
+        with eb.Emitter(server.address) as emitter:
+            with pytest.raises(ValueError):
+                emitter.emit(False)
+            assert emitter.emit(1).seq == 1
+        assert server.get(timeout=2.0).seq == 1
+
 
 class TestReplay:
     def test_demo_trace(self):
