@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
 import logging
 import sys
 
 from . import __version__, controller, event_bus, latency_budget, telemetry, verify
 from .fft_engines import APU, PL
-from .profiles import ProfileError, models_from_profile
-from .timing_model import PRINTED_ACCELERATION, TABLE_EXTRACTED
+from .profiles import ConfigError, models_from_profile, read_json_object
+from .timing_model import PRINTED_ACCELERATION
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,10 +33,6 @@ EXIT_RUNTIME_ERROR = 3
 DEMO_TRACE = [(0, 0), (1000, 1), (1000, 2), (1000, 3)]
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -83,18 +78,6 @@ RUN_FIELDS = {
 }
 
 
-def _load_scenario(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"scenario {path} must be a JSON object")
-    return obj
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="socrm", description="FPGA SoC resource management layer simulator")
@@ -111,24 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--jitter", type=float,
                        help="APU timing jitter fraction, e.g. 0.1")
-    p_run.add_argument("--fast-forward", action="store_true", default=None,
-                       help="replay without wall-clock delays (default)")
-    p_run.add_argument("--wall-clock", action="store_true",
-                       help="honor trace delays in real time")
+    pace = p_run.add_mutually_exclusive_group()
+    pace.add_argument("--fast-forward", action="store_const", const=True,
+                      help="replay without wall-clock delays (default)")
+    pace.add_argument("--wall-clock", action="store_const", const=False,
+                      dest="fast_forward", help="honor trace delays in real time")
     p_run.add_argument("--telemetry-file")
     p_run.add_argument("--telemetry-socket")
     p_run.add_argument("--profile", help="hardware profile JSON")
     p_run.add_argument("--max-events", type=int,
-                       help="stop live mode after this many events")
+                       help="stop after this many events")
     p_run.add_argument("--idle-timeout", type=float, help=(
         "live mode: stop after this many idle seconds"
         f" (default {RUN_FIELDS['idle_timeout'][0]:g})"))
 
     sub.add_parser("tables", help="render the calibration tables")
 
-    p_verify = sub.add_parser("verify", help="run the invariant self-checks")
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help=argparse.SUPPRESS)
+    sub.add_parser("verify", help="run the invariant self-checks")
 
     p_emit = sub.add_parser("emit", help="send events to a running server")
     p_emit.add_argument("--target", required=True, help="host:port")
@@ -140,14 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_run_config(args) -> dict:
     cfg = {key: default for key, (default, _, _) in RUN_FIELDS.items()}
     if args.config:
-        scenario = _load_scenario(args.config)
+        scenario = read_json_object(args.config, "scenario")
         unknown = set(scenario) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         cfg.update(scenario)
-    # a flag left out is None; --wall-clock wins over --fast-forward
-    flags = {**vars(args), "fast_forward": False if args.wall_clock else args.fast_forward}
-    cfg.update((key, flags[key]) for key in RUN_FIELDS if flags.get(key) is not None)
+    # a flag left out is None
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in RUN_FIELDS and value is not None)
     if cfg["listen"] and (cfg["trace"] or cfg["trace_path"]):
         raise ConfigError("choose either a trace or a listen address, not both")
     for key, (_, valid, expected) in RUN_FIELDS.items():
@@ -161,8 +143,7 @@ def _event_source(cfg, out):
         address = _parse_address(cfg["listen"])
         server = event_bus.EventServer(*address).start()
         out.write(f"listening on {server.address[0]}:{server.address[1]}\n")
-        events = server.events(timeout=cfg["idle_timeout"])
-        return itertools.islice(events, cfg["max_events"]), server
+        return server.events(timeout=cfg["idle_timeout"]), server
     if cfg["trace_path"]:
         try:
             trace = event_bus.load_trace(cfg["trace_path"])
@@ -192,6 +173,8 @@ def cmd_run(args, out=None) -> int:
                       _parse_address(cfg["telemetry_socket"])))
     ctrl = controller.Controller(timing, mechanism=cfg["mechanism"], seed=cfg["seed"])
     events, server = _event_source(cfg, out)
+    if cfg["max_events"] is not None:
+        events = itertools.islice(events, cfg["max_events"])
 
     reports: list[controller.ExecutionReport] = []
     # The loop makes no reference cycles: what it allocates is either kept for
@@ -280,8 +263,8 @@ def _render_table1(timing, out):
         apu = timing.lookup_exec_time(APU, n)
         pl = timing.lookup_exec_time(PL, n)
         factor = timing.acceleration_factor(n)
-        apu_s = f"({apu.exec_time_us:g})" if (APU, n) in TABLE_EXTRACTED else f"{apu.exec_time_us:g}"
-        pl_s = f"({pl.exec_time_us:g})" if (PL, n) in TABLE_EXTRACTED else f"{pl.exec_time_us:g}"
+        apu_s = f"({apu.exec_time_us:g})" if apu.provenance == "table-extracted" else f"{apu.exec_time_us:g}"
+        pl_s = f"({pl.exec_time_us:g})" if pl.provenance == "table-extracted" else f"{pl.exec_time_us:g}"
         printed = PRINTED_ACCELERATION.get(n)
         note = ""
         if printed is not None and abs(factor - printed) > 0.05:
@@ -311,9 +294,9 @@ def cmd_tables(out=None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(inject_fault: bool = False, out=None) -> int:
+def cmd_verify(out=None) -> int:
     out = out if out is not None else sys.stdout
-    results = verify.run_checks(inject_fault=inject_fault)
+    results = verify.run_checks()
     failed = 0
     for name, passed, detail in results:
         status = "PASS" if passed else "FAIL"
@@ -346,11 +329,11 @@ def main(argv=None) -> int:
         if args.command == "tables":
             return cmd_tables()
         if args.command == "verify":
-            return cmd_verify(inject_fault=args.inject_fault)
+            return cmd_verify()
         if args.command == "emit":
             return cmd_emit(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ProfileError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except event_bus.TransportError as exc:

@@ -286,7 +286,9 @@ def load_trace(path) -> list[tuple[int, int]]:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
+            # ASCII digits only: int() would also take "1_0", "+5" and "\u0661"
+            if len(parts) != 2 or not (line.isascii() and parts[0].isdigit()
+                                       and parts[1].isdigit()):
                 raise ValueError(f"bad trace line: {raw!r}")
             delay_us, faces = int(parts[0]), int(parts[1])
             if not (is_field(delay_us) and is_field(faces)):

@@ -2,19 +2,14 @@
 
 Derives slot/symbol timing and the standard FFT size for an (SCS,
 bandwidth) pair, computes DMA transfer latencies from byte counts and
-throughput, and assembles the itemized offload budget with feasibility
-verdicts against the OFDM symbol deadline (and the stricter 20 us target
-that leaves headroom for the rest of the low-PHY chain).
+throughput, and assembles the itemized reference offload budget with
+feasibility verdicts against the OFDM symbol deadline (and the stricter
+20 us target that leaves headroom for the rest of the low-PHY chain).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-BYTES_PER_COMPLEX_SAMPLE = 8  # complex single-precision float over the bus
-
-DEFAULT_TRANSFER_BYTES = 1024 * BYTES_PER_COMPLEX_SAMPLE  # 8192
-DEFAULT_THROUGHPUT_BPS = 1.6e9  # 64-bit HP port at 300 MHz, effective
+from dataclasses import dataclass
 
 IDEAL_DEADLINE_US = 20.0
 SYMBOLS_PER_SLOT = 14  # normal cyclic prefix
@@ -99,8 +94,6 @@ class BudgetReport:
     margin_us: float
     feasible: bool
     ideal_feasible: bool
-    mode: str = "target"  # target (reference bounds) | computed
-    notes: tuple[str, ...] = field(default=())
 
     def render(self) -> str:
         width = max(len(s.name) for s in self.steps) + 2
@@ -112,42 +105,16 @@ class BudgetReport:
                      f"Margin: {self.margin_us:.2f} us   "
                      f"Feasible: {self.feasible}   "
                      f"Ideal (<= {IDEAL_DEADLINE_US:.0f} us): {self.ideal_feasible}")
-        lines.extend(self.notes)
         return "\n".join(lines)
-
-
-def _assemble(steps, deadline_us: float, mode: str, notes=()) -> BudgetReport:
-    steps = tuple(steps)
-    if any(s.latency_us <= 0 for s in steps):
-        raise ValueError("step latencies must be positive")
-    total = sum(s.latency_us for s in steps)
-    margin = deadline_us - total
-    return BudgetReport(steps, total, deadline_us, margin,
-                        feasible=(total <= deadline_us),
-                        ideal_feasible=(total <= IDEAL_DEADLINE_US),
-                        mode=mode, notes=tuple(notes))
 
 
 def default_offload_budget(numerology: NumerologyConfig | None = None) -> BudgetReport:
     """The reference budget built from the latency targets (5, 10, 5, 1)."""
     if numerology is None:
         numerology = derive_numerology(30, 20)
-    steps = [BudgetStep(name, us, kind) for name, us, kind in TARGET_STEPS]
-    return _assemble(steps, numerology.symbol_us, "target")
-
-
-def build_offload_budget(numerology: NumerologyConfig,
-                         transfer_bytes: float = DEFAULT_TRANSFER_BYTES,
-                         throughput: float = DEFAULT_THROUGHPUT_BPS,
-                         compute_us: float = 10.0,
-                         interrupt_us: float = 1.0) -> BudgetReport:
-    """Budget with transfer steps computed from the DMA arithmetic.
-
-    compute_us is caller-supplied: the <= 10 us software iFFT figure is a
-    bare-metal bound and OS jitter on top of it is unquantified.  The steps
-    are those of `TARGET_STEPS`, in its order.
-    """
-    latency = {"transfer": dma_transfer_latency(transfer_bytes, throughput),
-               "compute": compute_us, "signaling": interrupt_us}
-    steps = [BudgetStep(name, latency[kind], kind) for name, _, kind in TARGET_STEPS]
-    return _assemble(steps, numerology.symbol_us, "computed")
+    steps = tuple(BudgetStep(name, us, kind) for name, us, kind in TARGET_STEPS)
+    total = sum(s.latency_us for s in steps)
+    deadline_us = numerology.symbol_us
+    return BudgetReport(steps, total, deadline_us, deadline_us - total,
+                        feasible=(total <= deadline_us),
+                        ideal_feasible=(total <= IDEAL_DEADLINE_US))

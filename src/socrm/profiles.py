@@ -11,7 +11,7 @@ device's calibration.  Layout:
 
 Every key and value is checked: FFT sizes are powers of two >= 2, times are
 finite numbers > 0 and power rows are three finite numbers >= 0.  Anything
-else is a ProfileError, including any other top-level key: a rail's static
+else is a ConfigError, including any other top-level key: a rail's static
 power is the non-hosting rail of the power rows, so it has no section.
 """
 
@@ -25,8 +25,21 @@ from .power_model import PowerModel
 from .timing_model import TimingModel
 
 
-class ProfileError(ValueError):
-    """Profile file is missing or malformed."""
+class ConfigError(ValueError):
+    """A run's configuration (scenario, profile, trace or flag) is unusable."""
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in file `path`; anything else is a ConfigError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return obj
 
 
 def _number(value, where: str, positive: bool = False) -> float:
@@ -61,14 +74,10 @@ def _flatten(section, name: str, convert) -> dict:
 
 
 def load_profile(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ProfileError(f"cannot load profile {path}: {exc}") from exc
-    if not isinstance(obj, dict) or not set(obj) <= {"timing_us", "power_mw"}:
-        raise ProfileError(f"profile {path} must be an object with only the keys"
-                           " timing_us and power_mw")
+    obj = read_json_object(path, "profile")
+    if not set(obj) <= {"timing_us", "power_mw"}:
+        raise ConfigError(f"profile {path} must be an object with only the keys"
+                          " timing_us and power_mw")
     out = {}
     try:
         if "timing_us" in obj:
@@ -77,7 +86,7 @@ def load_profile(path) -> dict:
         if "power_mw" in obj:
             out["power"] = _flatten(obj["power_mw"], "power_mw", _power_row)
     except (ValueError, OverflowError) as exc:
-        raise ProfileError(f"malformed profile {path}: {exc}") from exc
+        raise ConfigError(f"malformed profile {path}: {exc}") from exc
     return out
 
 

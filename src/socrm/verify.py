@@ -1,12 +1,10 @@
 """Self-verification suite aggregating the library's invariant checks.
 
 Each check returns (name, passed, detail); `run_checks` executes all of
-them deterministically.  A fault-injection hook (corrupting one output bin
-of the N=64 transform) exists so the oracle check's sensitivity is itself
-testable.  `check_q15_kernel` names the stage loop `fft_fixed` runs and, when
-it is the compiled one, compares it bit for bit with the NumPy loop;
-`check_fft_float_entry` names the call `fft_float` ends in and compares it bit
-for bit with `numpy.fft.fft`.
+them deterministically.  `check_q15_kernel` names the stage loop `fft_fixed`
+runs and, when it is the compiled one, compares it bit for bit with the NumPy
+loop; `check_fft_float_entry` names the call `fft_float` ends in and compares
+it bit for bit with `numpy.fft.fft`.
 """
 
 from __future__ import annotations
@@ -26,16 +24,13 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
 
-def check_fft_oracle(inject_fault: bool = False):
+def check_fft_oracle():
     rng = np.random.default_rng(1234)
     worst = 0.0
     for n in (8, 16, 64):
         for _ in range(20):
             x = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
-            out = fft_engines.fft_float(x)
-            if inject_fault and n == 64:
-                out[3] += 0.05  # test hook: corrupt one output bin
-            err = np.max(np.abs(out - dft_direct(x)))
+            err = np.max(np.abs(fft_engines.fft_float(x) - dft_direct(x)))
             worst = max(worst, err)
     return ("fft-oracle-equivalence", worst < 1e-10, f"max abs error {worst:.3e}")
 
@@ -169,11 +164,5 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(inject_fault: bool = False):
-    results = []
-    for check in ALL_CHECKS:
-        if check is check_fft_oracle:
-            results.append(check(inject_fault=inject_fault))
-        else:
-            results.append(check())
-    return results
+def run_checks():
+    return [check() for check in ALL_CHECKS]

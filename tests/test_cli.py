@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from socrm import cli, fft_engines
+from socrm import cli, fft_engines, verify
 from socrm.event_bus import MAX_FIELD, Emitter, EventServer
 
 
@@ -61,8 +61,16 @@ class TestVerify:
         assert (f"[PASS] fft-float-entry: {fft_engines.float_entry()}: 4/4 sizes "
                 "(N=8, 1024, 2048, 4096) bit-identical to numpy.fft.fft") in out
 
-    def test_fault_injection_fails_only_oracle(self):
-        code, out = run_cli(["verify", "--inject-fault"])
+    def test_fault_injection_fails_only_oracle(self, monkeypatch):
+        dft_direct = verify.dft_direct
+
+        def corrupted(x):
+            ref = dft_direct(x)
+            if len(ref) == 64:
+                ref[3] += 0.05  # one wrong bin of the N=64 reference
+            return ref
+        monkeypatch.setattr(verify, "dft_direct", corrupted)
+        code, out = run_cli(["verify"])
         assert code == cli.EXIT_VERIFY_FAILED
         assert "[FAIL] fft-oracle-equivalence" in out
         assert out.count("[FAIL]") == 1
@@ -102,6 +110,32 @@ class TestRun:
         code, out = run_cli(["run", "--trace", str(trace)])
         assert code == 0
         assert "MigrateAndScale ('APU', 8) -> ('PL', 4096)" in out
+
+    def test_max_events_stops_a_replay(self):
+        code, out = run_cli(["run", "--max-events", "1"])
+        assert code == 0
+        assert "events processed: 1\n" in out
+
+    def test_scenario_max_events_stops_its_trace(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"trace": [[0, 0], [10, 1], [10, 2]], "max_events": 2}))
+        code, out = run_cli(["run", str(scenario)])
+        assert code == 0
+        assert "events processed: 2\n" in out
+
+    def test_pace_flags_exclude_each_other(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--fast-forward", "--wall-clock"])
+        assert exc.value.code == cli.EXIT_CONFIG_ERROR
+
+    def test_wall_clock_replays_in_real_time(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 0\n50000 1\n")
+        t0 = time.monotonic()
+        code, out = run_cli(["run", "--trace", str(trace), "--wall-clock"])
+        assert time.monotonic() - t0 >= 0.045
+        assert code == 0
+        assert "events processed: 2\n" in out
 
     def test_partial_bitstream_overhead_reported(self, tmp_path):
         scenario = tmp_path / "s.json"
@@ -307,6 +341,9 @@ class TestRun:
         ({"telemetry_file": ""}, None),
         ({"telemetry_socket": ""}, None),
         ({"profile": ""}, None),
+        ({}, "1_0 2\n"),
+        ({}, "+5 1\n"),
+        ({}, "\u0661 3\n"),
     ])
     def test_bad_run_input_is_config_error(self, tmp_path, scenario, trace_text):
         path = tmp_path / "scenario.json"
