@@ -400,10 +400,11 @@ class TestRun:
         assert code == cli.EXIT_RUNTIME_ERROR
 
 
-def _run_live(idle_timeout: str, lines=None):
-    """`socrm run --listen` on a free port, fed either one faces=2 event by an
-    external emitter with --max-events 1, or the raw wire `lines` over one
-    connection until the run idles out; returns (exit code, stdout)."""
+def _run_live(idle_timeout: str, lines=None, extra=()):
+    """`socrm run --listen` on a free port with the further arguments `extra`,
+    fed either one faces=2 event by an external emitter with --max-events 1,
+    or the raw wire `lines` over one connection until the run idles out;
+    returns (exit code, stdout)."""
     # bind our own server first to learn a free port, then reuse it
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -412,7 +413,7 @@ def _run_live(idle_timeout: str, lines=None):
 
     result = {}
 
-    argv = ["run", "--listen", f"{host}:{port}", "--idle-timeout", idle_timeout]
+    argv = ["run", "--listen", f"{host}:{port}", "--idle-timeout", idle_timeout, *extra]
     if lines is None:
         argv += ["--max-events", "1"]
 
