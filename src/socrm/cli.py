@@ -130,7 +130,7 @@ def _merge_run_config(args) -> dict:
     # a flag left out is None
     cfg.update((key, value) for key, value in vars(args).items()
                if key in RUN_FIELDS and value is not None)
-    if cfg["listen"] and (cfg["trace"] or cfg["trace_path"]):
+    if cfg["listen"] and (cfg["trace"] is not None or cfg["trace_path"] is not None):
         raise ConfigError("choose either a trace or a listen address, not both")
     for key, (_, valid, expected) in RUN_FIELDS.items():
         if not valid(cfg[key]):
@@ -138,11 +138,11 @@ def _merge_run_config(args) -> dict:
     return cfg
 
 
-def _event_source(cfg, out):
+def _event_source(cfg):
     if cfg["listen"]:
         address = _parse_address(cfg["listen"])
         server = event_bus.EventServer(*address).start()
-        out.write(f"listening on {server.address[0]}:{server.address[1]}\n")
+        sys.stdout.write(f"listening on {server.address[0]}:{server.address[1]}\n")
         return server.events(timeout=cfg["idle_timeout"]), server
     if cfg["trace_path"]:
         try:
@@ -156,8 +156,7 @@ def _event_source(cfg, out):
     return event_bus.replay(trace, fast_forward=cfg["fast_forward"]), None
 
 
-def cmd_run(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_run(args) -> int:
     cfg = _merge_run_config(args)
     timing, power = models_from_profile(
         cfg["profile"], jitter_pct=cfg["jitter"], seed=cfg["seed"])
@@ -172,7 +171,7 @@ def cmd_run(args, out=None) -> int:
         sinks.append(("socket", telemetry.export_to_socket,
                       _parse_address(cfg["telemetry_socket"])))
     ctrl = controller.Controller(timing, mechanism=cfg["mechanism"], seed=cfg["seed"])
-    events, server = _event_source(cfg, out)
+    events, server = _event_source(cfg)
     if cfg["max_events"] is not None:
         events = itertools.islice(events, cfg["max_events"])
 
@@ -187,7 +186,7 @@ def cmd_run(args, out=None) -> int:
         for event in events:
             reports.append(ctrl.process_event(event)[2])
     except KeyboardInterrupt:
-        out.write("interrupted; draining\n")
+        sys.stdout.write("interrupted; draining\n")
     finally:
         if collecting:
             gc.enable()
@@ -206,17 +205,18 @@ def cmd_run(args, out=None) -> int:
             delivered.append((sink, exc.delivered))
             failures.append(exc)
 
-    _write_summary(out, reports, power, delivered, server)
+    _write_summary(reports, power, delivered, server)
     for exc in failures:
         print(f"runtime error: {exc}", file=sys.stderr)
     return EXIT_RUNTIME_ERROR if failures else EXIT_OK
 
 
-def _write_summary(out, reports, power, delivered, server):
+def _write_summary(reports, power, delivered, server):
     # One pass over the reports.  A report's dwell is the time to the next
     # event, or 0 when that comes earlier (two emitters' clocks interleave)
     # or there is none.  `dwell` keeps first-appearance order, which is the
     # order energy_mj sums in.
+    out = sys.stdout
     out.write("== action log ==\n")
     dwell: dict = {}
     reconfigurations = 0
@@ -256,7 +256,8 @@ def _write_summary(out, reports, power, delivered, server):
                   f"dropped events: {server.dropped_count}\n")
 
 
-def _render_table1(timing, out):
+def _render_table1(timing):
+    out = sys.stdout
     out.write("Table: APU vs PL FFT execution time\n")
     out.write(f"{'FFT points':>10}  {'APU (us)':>10}  {'PL (us)':>10}  Acceleration\n")
     for n in timing.calibrated_sizes(APU):
@@ -272,7 +273,8 @@ def _render_table1(timing, out):
         out.write(f"{n:>10}  {apu_s:>10}  {pl_s:>10}  {factor:.2f}{note}\n")
 
 
-def _render_table2(power, out):
+def _render_table2(power):
+    out = sys.stdout
     out.write("\nTable: DDR/APU/PL power breakdown per configuration (mW)\n")
     out.write(f"{'FFT points':>10}  {'DDR':>7}  {'APU':>7}  {'PL':>7}  {'Total':>7}\n")
     for domain, points in power.configurations():
@@ -283,19 +285,18 @@ def _render_table2(power, out):
     out.write("(brackets: static power of the rail not hosting the function)\n")
 
 
-def cmd_tables(out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_tables() -> int:
     timing, power = models_from_profile(None)
-    _render_table1(timing, out)
-    _render_table2(power, out)
-    out.write("\nTable: iFFT offload latency budget\n")
+    _render_table1(timing)
+    _render_table2(power)
+    sys.stdout.write("\nTable: iFFT offload latency budget\n")
     report = latency_budget.default_offload_budget()
-    out.write(report.render() + "\n")
+    sys.stdout.write(report.render() + "\n")
     return EXIT_OK
 
 
-def cmd_verify(out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_verify() -> int:
+    out = sys.stdout
     results = verify.run_checks()
     failed = 0
     for name, passed, detail in results:
@@ -306,8 +307,7 @@ def cmd_verify(out=None) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def cmd_emit(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_emit(args) -> int:
     address = _parse_address(args.target)
     bad = [faces for faces in args.faces if not event_bus.is_field(faces)]
     if bad:  # checked before connecting, so a bad list sends nothing
@@ -315,7 +315,7 @@ def cmd_emit(args, out=None) -> int:
     with event_bus.Emitter(address) as emitter:
         for faces in args.faces:
             event = emitter.emit(faces)
-            out.write(f"sent seq={event.seq} faces={event.faces}\n")
+            sys.stdout.write(f"sent seq={event.seq} faces={event.faces}\n")
     return EXIT_OK
 
 

@@ -48,10 +48,6 @@ INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
 _LAST_RULE = max(RULES)
 
 
-class StaleActionError(RuntimeError):
-    """Action was planned against a state that is no longer current."""
-
-
 @dataclass(frozen=True)
 class FunctionState:
     domain: str
@@ -78,7 +74,6 @@ class ReconfigAction:
     from_config: tuple[str, int]
     to_config: tuple[str, int]
     overhead_us: float
-    mechanism: str
 
 
 class ExecutionReport(NamedTuple):
@@ -107,7 +102,7 @@ def plan_action(current: FunctionState, target: tuple[str, int],
 @functools.lru_cache(maxsize=256)
 def _plan(frm: tuple[str, int], target: tuple[str, int], mechanism: str) -> ReconfigAction:
     if frm == target:
-        return ReconfigAction(NO_OP, frm, target, 0.0, mechanism)
+        return ReconfigAction(NO_OP, frm, target, 0.0)
     migrate = frm[0] != target[0]
     scale = frm[1] != target[1]
     if migrate and scale:
@@ -119,12 +114,12 @@ def _plan(frm: tuple[str, int], target: tuple[str, int], mechanism: str) -> Reco
     overhead = 0.0
     if mechanism == PARTIAL_BITSTREAM and migrate and target[0] == PL:
         overhead = PARTIAL_BITSTREAM_OVERHEAD_US
-    return ReconfigAction(kind, frm, target, overhead, mechanism)
+    return ReconfigAction(kind, frm, target, overhead)
 
 
 def apply_action(current: FunctionState, action: ReconfigAction) -> FunctionState:
     if action.from_config != current.config:
-        raise StaleActionError(
+        raise RuntimeError(
             f"action planned from {action.from_config} but state is {current.config}")
     if action.kind == NO_OP:
         return current

@@ -49,21 +49,9 @@ Q15_MAX = (1 << 15) - 1
 logger = logging.getLogger(__name__)
 
 
-class FftError(ValueError):
-    """Base class for FFT input rejection."""
-
-
-class SizeMismatchError(FftError):
-    """Input length does not equal the transform size."""
-
-
-class InvalidSizeError(FftError):
-    """Transform size is not a power of two >= 2."""
-
-
 def _check_size(points):
     if not isinstance(points, (int, np.integer)) or points < 2 or points & (points - 1):
-        raise InvalidSizeError(f"FFT size must be a power of two >= 2, got {points!r}")
+        raise ValueError(f"FFT size must be a power of two >= 2, got {points!r}")
 
 
 def _bit_reverse_permutation(n: int) -> np.ndarray:
@@ -104,11 +92,11 @@ def get_plan(points: int) -> FftPlan:
 def _as_complex_block(x, points: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1 or len(a) != points:
-        raise SizeMismatchError(f"expected {points} samples, got shape {a.shape}")
+        raise ValueError(f"expected {points} samples, got shape {a.shape}")
     # complex isfinite is false when either part is NaN or Inf, and unlike a
     # float64 view it accepts strided input
     if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise FftError("input contains NaN or Inf")
+        raise ValueError("input contains NaN or Inf")
     return a
 
 
@@ -153,12 +141,12 @@ class FixedBlock:
 def quantize(x) -> FixedBlock:
     """Round-to-nearest Q1.15 quantization, ties away from zero, saturating.
 
-    NaN or Inf is an `FftError`.
+    NaN or Inf is a `ValueError`.
     """
     a = np.ascontiguousarray(x, dtype=np.complex128)
     flat = a.view(np.float64)  # re, im interleaved
     if np.count_nonzero(np.isfinite(flat)) != flat.size:
-        raise FftError("input contains NaN or Inf")
+        raise ValueError("input contains NaN or Inf")
     # round half away from zero (np.round would round half to even)
     scaled = flat * Q15_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
@@ -189,7 +177,7 @@ def fft_fixed(block: FixedBlock) -> FixedBlock:
     re = np.asarray(block.re, dtype=np.int64)
     im = np.asarray(block.im, dtype=np.int64)
     if re.shape != (n,) or im.shape != (n,):
-        raise SizeMismatchError(f"expected {n} samples, got shapes {re.shape} and {im.shape}")
+        raise ValueError(f"expected {n} samples, got shapes {re.shape} and {im.shape}")
     a_re, a_im = re[plan.bitrev], im[plan.bitrev]
     kernel = _load_kernel()
     if kernel is None:
@@ -318,5 +306,5 @@ def mse(reference, test) -> float:
     ref = np.asarray(reference, dtype=np.complex128)
     tst = np.asarray(test, dtype=np.complex128)
     if ref.shape != tst.shape:
-        raise SizeMismatchError(f"length mismatch: {ref.shape} vs {tst.shape}")
+        raise ValueError(f"length mismatch: {ref.shape} vs {tst.shape}")
     return float(np.mean(np.abs(ref - tst) ** 2))

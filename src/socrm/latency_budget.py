@@ -43,31 +43,26 @@ STANDARD_FFT_SIZES = {
 VALID_SCS_KHZ = (15, 30, 60, 120)
 
 
-class NumerologyError(ValueError):
-    """No standard FFT size for the requested (SCS, bandwidth) pair."""
-
-
 @dataclass(frozen=True)
 class NumerologyConfig:
     scs_khz: int
     bandwidth_mhz: int
     fft_points: int
     slot_us: float
-    symbols_per_slot: int
     symbol_us: float  # average symbol duration incl. CP, rounded to 0.1 us
 
 
 def derive_numerology(scs_khz: int, bandwidth_mhz: int) -> NumerologyConfig:
     if scs_khz not in VALID_SCS_KHZ:
-        raise NumerologyError(f"unsupported subcarrier spacing {scs_khz} kHz")
+        raise ValueError(f"unsupported subcarrier spacing {scs_khz} kHz")
     try:
         fft_points = STANDARD_FFT_SIZES[(scs_khz, bandwidth_mhz)]
     except KeyError:
-        raise NumerologyError(
+        raise ValueError(
             f"no standard FFT size for {scs_khz} kHz / {bandwidth_mhz} MHz") from None
     slot_us = 1000.0 / (scs_khz / 15)
     return NumerologyConfig(scs_khz, bandwidth_mhz, fft_points, slot_us,
-                            SYMBOLS_PER_SLOT, round(slot_us / SYMBOLS_PER_SLOT, 1))
+                            round(slot_us / SYMBOLS_PER_SLOT, 1))
 
 
 def dma_transfer_latency(nbytes: float, throughput_bytes_per_s: float) -> float:

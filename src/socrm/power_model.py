@@ -23,10 +23,6 @@ DEFAULT_POWER_PROFILE = {
 }
 
 
-class UncalibratedConfigError(KeyError):
-    """No calibrated power row for the requested configuration."""
-
-
 @dataclass(frozen=True)
 class PowerBreakdown:
     ddr_mw: float
@@ -54,5 +50,5 @@ class PowerModel:
         try:
             return self._rows[(domain, points)]
         except KeyError:
-            raise UncalibratedConfigError(
+            raise KeyError(
                 f"no calibrated power row for ({domain}, {points})") from None

@@ -41,14 +41,8 @@ TABLE_EXTRACTED = {(APU, 2048), (APU, 4096), (PL, 8), (PL, 1024)}
 PRINTED_ACCELERATION = {8: 7.9, 1024: 9.3, 2048: 13.1, 4096: 15.4}
 
 
-class UncalibratedSizeError(KeyError):
-    """No calibrated timing entry for the requested (domain, size)."""
-
-
 @dataclass(frozen=True)
 class TimingEntry:
-    domain: str
-    points: int
     exec_time_us: float
     provenance: str  # table-measured | table-extracted | live-measured
     spread_us: tuple[float, float] | None = None  # (min, max) for live measurements
@@ -76,8 +70,8 @@ class TimingModel:
         key = (domain, points)
         if key in self.profile:
             prov = "table-extracted" if key in TABLE_EXTRACTED else "table-measured"
-            return TimingEntry(domain, points, self.profile[key], prov)
-        raise UncalibratedSizeError(f"no calibrated timing for {domain} at {points} points")
+            return TimingEntry(self.profile[key], prov)
+        raise KeyError(f"no calibrated timing for {domain} at {points} points")
 
     def acceleration_factor(self, points: int) -> float:
         apu = self.lookup_exec_time(APU, points)
@@ -89,7 +83,7 @@ class TimingModel:
         try:
             exec_us = self.profile[(domain, points)]
         except KeyError:
-            raise UncalibratedSizeError(
+            raise KeyError(
                 f"no calibrated timing for {domain} at {points} points") from None
         if domain == APU and self.jitter_pct > 0:
             factor = 1.0 + self._rng.uniform(-self.jitter_pct, self.jitter_pct)
@@ -112,5 +106,5 @@ class TimingModel:
             t0 = time.perf_counter()
             fft_engines.fft_float(x)
             durations.append((time.perf_counter() - t0) * 1e6)
-        return TimingEntry(APU, points, float(np.mean(durations)), "live-measured",
+        return TimingEntry(float(np.mean(durations)), "live-measured",
                            (min(durations), max(durations)))

@@ -5,6 +5,7 @@ captured output).  Criterion 6 bounds the Q1.15 FFT deviation by four
 output LSBs scaled back by N (4*N*2^-15); its comment gives the derivation.
 """
 
+import contextlib
 import io
 import time
 
@@ -23,7 +24,8 @@ def report(number, title, passed):
 
 def run_tables():
     out = io.StringIO()
-    assert cli.cmd_tables(out=out) == 0
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_tables() == 0
     return out.getvalue()
 
 

@@ -221,14 +221,16 @@ class TestRun:
                             lambda self, event: collecting.append(gc.isenabled())
                             or process_event(self, event))
         assert gc.isenabled()
-        assert cli.cmd_run(args, out=io.StringIO()) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.cmd_run(args) == 0
         assert collecting == [False] * 200
         assert gc.isenabled()
         # and the run leaves the collector nothing to free
         gc.collect()
         gc.disable()
         try:
-            assert cli.cmd_run(args, out=io.StringIO()) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.cmd_run(args) == 0
             assert gc.collect() == 0
             assert not gc.isenabled()
         finally:
@@ -300,12 +302,13 @@ class TestRun:
         code, _ = run_cli(["run", str(bad)])
         assert code == cli.EXIT_CONFIG_ERROR
 
-    def test_trace_and_listen_conflict(self, tmp_path):
+    def test_trace_and_listen_conflict(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps({
-            "trace": [[0, 0]], "listen": "127.0.0.1:1"}))
-        code, _ = run_cli(["run", str(scenario)])
-        assert code == cli.EXIT_CONFIG_ERROR
+        for trace in ([[0, 0]], []):  # an empty trace is still a trace
+            scenario.write_text(json.dumps({"trace": trace, "listen": "127.0.0.1:1"}))
+            code, _ = run_cli(["run", str(scenario)])
+            assert code == cli.EXIT_CONFIG_ERROR
+            assert "choose either a trace or a listen address" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, trace_text", [
         ({"seed": "abc"}, None),

@@ -88,9 +88,8 @@ class TestPlanMemo:
         gating = ctl.plan_action(state, (ctl.PL, 2048), ctl.CLOCK_GATING)
         bitstream = ctl.plan_action(state, (ctl.PL, 2048), ctl.PARTIAL_BITSTREAM)
         assert gating is not bitstream
-        assert (gating.mechanism, gating.overhead_us) == (ctl.CLOCK_GATING, 0.0)
-        assert (bitstream.mechanism, bitstream.overhead_us) == (
-            ctl.PARTIAL_BITSTREAM, ctl.PARTIAL_BITSTREAM_OVERHEAD_US)
+        assert gating.overhead_us == 0.0
+        assert bitstream.overhead_us == ctl.PARTIAL_BITSTREAM_OVERHEAD_US
         assert ctl.plan_action(state, (ctl.PL, 2048), ctl.CLOCK_GATING) is gating
         assert ctl.plan_action(state, (ctl.PL, 2048), ctl.PARTIAL_BITSTREAM) is bitstream
 
@@ -105,7 +104,7 @@ class TestPlanMemo:
         pl = ctl.FunctionState(ctl.PL, 2048, 2)
         action = ctl.plan_action(pl, (ctl.APU, 8))
         assert ctl.apply_action(pl, action) == ctl.FunctionState(ctl.APU, 8, 3)
-        with pytest.raises(ctl.StaleActionError):
+        with pytest.raises(RuntimeError, match="action planned from"):
             ctl.apply_action(ctl.initial_state(), action)
 
     def test_reports_of_a_run_share_actions(self):
@@ -130,7 +129,7 @@ class TestApply:
         state = ctl.initial_state()
         action = ctl.plan_action(ctl.FunctionState(ctl.PL, 2048, 2),
                                  (ctl.APU, 8))
-        with pytest.raises(ctl.StaleActionError):
+        with pytest.raises(RuntimeError, match="action planned from"):
             ctl.apply_action(state, action)
 
 

@@ -4,6 +4,7 @@ import signal
 import socket
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,69 @@ def no_free_descriptors():
 
 def event_line(faces: int, seq: int = 1) -> bytes:
     return eb.encode_event(eb.FaceEvent(faces, seq, 0)).encode("utf-8")
+
+
+class _ChunkedConnection:
+    """A connection whose recv() returns the given chunks in turn, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.closed = False
+
+    def recv(self, size):
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        assert len(chunk) <= size
+        return chunk
+
+    def close(self):
+        self.closed = True
+
+
+def _served(chunks):
+    """The events `EventServer._read` queues and the malformed lines it counts
+    when one connection delivers `chunks`."""
+    server = eb.EventServer()
+    server._selector = types.SimpleNamespace(unregister=lambda conn: None)
+    server._listening = True  # so closing the connection registers nothing
+    server._connections = 1
+    peer = types.SimpleNamespace(addr=None, tail=b"", last_seq=None)
+    conn = _ChunkedConnection(chunks)
+    while not conn.closed:
+        server._read(peer, conn)
+    return list(server._queue), server.malformed_count
+
+
+def _chunks(stream: bytes, cuts) -> list:
+    """`stream` cut at `cuts` and every MAX_LINE_BYTES, as recv() may return it."""
+    bounds = sorted({0, len(stream), *cuts})
+    return [stream[i:j][k:k + eb.MAX_LINE_BYTES]
+            for i, j in zip(bounds, bounds[1:]) for k in range(0, j - i, eb.MAX_LINE_BYTES)]
+
+
+# a valid event padded with spaces to exactly MAX_LINE_BYTES, and junk lines of
+# MAX_LINE_BYTES and one byte more: the longest line that is read, and the
+# shortest that closes its connection
+_PADDED_EVENT = event_line(1, 9).rstrip(b"\n").ljust(eb.MAX_LINE_BYTES) + b"\n"
+stream_parts = st.one_of(
+    st.builds(lambda event: eb.encode_event(event).encode("utf-8"), events_strategy),
+    st.binary(max_size=40),
+    st.sampled_from([b"\n", b"  \r\n", _PADDED_EVENT, b"x" * eb.MAX_LINE_BYTES + b"\n",
+                     b"y" * (eb.MAX_LINE_BYTES + 1) + b"\n"]),
+)
+
+
+class TestFraming:
+    @given(st.lists(stream_parts, max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_chunking_reads_like_the_whole_stream(self, parts, data):
+        stream = b"".join(parts)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=20))
+        assert _served(_chunks(stream, cuts)) == _served(_chunks(stream, []))
+
+    def test_longest_line_is_read_and_a_longer_one_closes(self):
+        stream = (event_line(0, 1) + _PADDED_EVENT + b"y" * (eb.MAX_LINE_BYTES + 1) + b"\n"
+                  + event_line(2, 10))
+        assert _served(_chunks(stream, [])) == ([eb.FaceEvent(0, 1, 0), eb.FaceEvent(1, 9, 0)], 1)
 
 
 class TestLiveness:

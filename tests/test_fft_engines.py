@@ -70,13 +70,13 @@ class TestFftFloat:
         assert abs(time_e - freq_e) / time_e < 1e-9
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(fe.InvalidSizeError):
+        with pytest.raises(ValueError, match="power of two"):
             fe.fft_float(np.zeros(12))
 
     def test_rejects_nan(self):
         x = np.zeros(8, dtype=complex)
         x[3] = np.nan
-        with pytest.raises(fe.FftError):
+        with pytest.raises(ValueError, match="NaN or Inf"):
             fe.fft_float(x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -84,9 +84,9 @@ class TestFftFloat:
     def test_rejects_non_finite_imaginary_part_alone(self, transform, bad):
         x = np.zeros(16, dtype=complex)
         x.imag[4] = bad  # kept by the strided view below too
-        with pytest.raises(fe.FftError):
+        with pytest.raises(ValueError, match="NaN or Inf"):
             transform(x)
-        with pytest.raises(fe.FftError):
+        with pytest.raises(ValueError, match="NaN or Inf"):
             transform(x[::2])
 
     def test_strided_input(self):
@@ -211,7 +211,7 @@ class TestQuantize:
         for value in (complex(bad, 0.0), complex(0.0, bad)):
             x = np.zeros(8, dtype=complex)
             x[5] = value
-            with pytest.raises(fe.FftError):
+            with pytest.raises(ValueError, match="NaN or Inf"):
                 fe.quantize(x)
 
     @given(st.lists(st.tuples(
@@ -264,14 +264,14 @@ class TestFftFixed:
         assert out.im.min() >= -32768 and out.im.max() <= 32767
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(fe.SizeMismatchError):
+        with pytest.raises(ValueError, match="expected 8 samples"):
             fe.fft_fixed(fe.FixedBlock(np.zeros(8), np.zeros(16)))
 
 
     def test_rejects_non_1d_halves(self):
-        with pytest.raises(fe.SizeMismatchError):
+        with pytest.raises(ValueError, match="expected 8 samples"):
             fe.fft_fixed(fe.FixedBlock(np.zeros((8, 0)), np.zeros((8, 0))))
-        with pytest.raises(fe.SizeMismatchError):
+        with pytest.raises(ValueError, match="expected 8 samples"):
             fe.fft_fixed(fe.FixedBlock(np.zeros(8), np.zeros(4)))
 
 
@@ -381,7 +381,7 @@ class TestMse:
         assert 0 < value < fe.fixed_point_mse_bound(n)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(fe.SizeMismatchError):
+        with pytest.raises(ValueError, match="length mismatch"):
             fe.mse(np.zeros(4, dtype=complex), np.zeros(8, dtype=complex))
 
 
@@ -392,6 +392,6 @@ def test_plans_are_cached_and_reused():
 def test_invalid_plan_size_raises_and_is_not_cached():
     cached = fe.get_plan.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(fe.InvalidSizeError):
+        with pytest.raises(ValueError, match="power of two"):
             fe.get_plan(12)
     assert fe.get_plan.cache_info().currsize == cached

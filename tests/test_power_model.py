@@ -1,6 +1,6 @@
 import pytest
 
-from socrm.power_model import (APU, PL, PowerModel, UncalibratedConfigError)
+from socrm.power_model import APU, PL, PowerModel
 
 TABLE_ROWS = {
     (APU, 8): (425, 2064, 1187, 3676),
@@ -53,9 +53,9 @@ def test_ddr_strictly_increasing(model):
 
 
 def test_uncalibrated_configuration_rejected(model):
-    with pytest.raises(UncalibratedConfigError):
+    with pytest.raises(KeyError, match="no calibrated power row"):
         model.power_breakdown(PL, 8)
-    with pytest.raises(UncalibratedConfigError):
+    with pytest.raises(KeyError, match="no calibrated power row"):
         model.power_breakdown(APU, 4096)
 
 
@@ -72,7 +72,7 @@ def test_rows_do_not_follow_the_callers_table():
     table[(APU, 8)] = (9.0, 9.0, 9.0)
     table[(PL, 8)] = (1.0, 1.0, 1.0)
     assert model.power_breakdown(APU, 8).total_mw == 6.0
-    with pytest.raises(UncalibratedConfigError):
+    with pytest.raises(KeyError, match="no calibrated power row"):
         model.power_breakdown(PL, 8)
 
 

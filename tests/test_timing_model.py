@@ -1,6 +1,6 @@
 import pytest
 
-from socrm.timing_model import (APU, PL, TimingModel, UncalibratedSizeError)
+from socrm.timing_model import APU, PL, TimingModel
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ class TestLookup:
         assert model.lookup_exec_time(APU, 1024) == model.lookup_exec_time(APU, 1024)
 
     def test_uncalibrated_size_rejected(self, model):
-        with pytest.raises(UncalibratedSizeError):
+        with pytest.raises(KeyError, match="no calibrated timing"):
             model.lookup_exec_time(APU, 512)
 
 
@@ -114,7 +114,7 @@ class TestReadOnlyTable:
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_sample_rejects_uncalibrated_size(self, jitter):
         model = TimingModel(jitter_pct=jitter, seed=0)
-        with pytest.raises(UncalibratedSizeError):
+        with pytest.raises(KeyError, match="no calibrated timing"):
             model.sample_exec_time(APU, 512)
-        with pytest.raises(UncalibratedSizeError):
+        with pytest.raises(KeyError, match="no calibrated timing"):
             model.sample_exec_time(PL, 16)
