@@ -9,12 +9,15 @@ returns an execution report with modeled timing and, on PL, the MSE
 against the floating-point reference.  Reports carry no power: telemetry
 and the run summary look it up in the `PowerModel`.
 
-Each controller keeps one set of input buffers per transform size and draws
+Each controller keeps one set of input buffers per transform size and fills
 every input block into them, so a block lives only until the next event of
-the same size overwrites it.  Nothing outlives that: `fft_float` returns a
-fresh array and `quantize` scales into a new one, so reports hold no view of
-a block.  The per-event records, `FaceEvent` and `ExecutionReport`, are
-immutable named tuples.
+the same size overwrites it.  Small blocks are copied out of a pool of
+pre-shifted draws that the controller refills `POOL_SIZE` at a time; larger
+ones take what is left of the pool and draw the rest themselves, so the
+random stream is read in the same order either way.  Nothing outlives a
+block: `fft_float` returns a fresh array and `quantize` scales into a new
+one, so reports hold no view of it.  The per-event records, `FaceEvent` and
+`ExecutionReport`, are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ RULES = {0: (APU, 8), 1: (APU, 1024), 2: (PL, 2048), 3: (PL, 4096)}
 
 INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
 _LAST_RULE = max(RULES)
+
+# doubles in a controller's pool of input draws (8 KiB).  A block of up to
+# this many is copied out of the pool; a strided copy stops beating the
+# subtract ufunc at 512 complex points, so larger blocks draw their own.
+POOL_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,10 @@ class Controller:
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
-        self._buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._buffers: dict[int, tuple[np.ndarray, ...]] = {}
+        # the next POOL_SIZE - _pooled draws of the stream, each minus 0.5
+        self._pool = np.empty(POOL_SIZE)
+        self._pooled = POOL_SIZE
 
     def process_event(self, event: FaceEvent):
         """decide -> plan -> apply, then execute one FFT of the new config."""
@@ -155,19 +166,37 @@ class Controller:
         n = state.points
         # synthetic stand-in for the DDR-played-back input signal, bit-identical
         # to uniform(-0.5, 0.5, n) + 1j * uniform(-0.5, 0.5, n), which computes
-        # -0.5 + 1.0 * u and reads the stream in the same order: random(out=)
-        # fills `draw` row by row, so row 0 holds the first n draws (the real
-        # parts) and row 1 the next n (the imaginary parts), and `parts` views
-        # x's real parts as row 0 and its imaginary parts as row 1.  The block
-        # is overwritten at the next event of this size.
+        # -0.5 + 1.0 * u and reads the stream in the same order: the first n
+        # draws are the real parts and the next n the imaginary parts, and
+        # `parts` views x's real parts as row 0 and its imaginary parts as
+        # row 1.  u - 0.5 and (u - 0.5) + 0.5 are exact for every u = k * 2^-53
+        # in [0, 1), so a pooled draw is the shifted one and gives back u.  The
+        # block is overwritten at the next event of this size.
         buffers = self._buffers.get(n)
         if buffers is None:
             x = np.empty(n, dtype=np.complex128)
-            buffers = self._buffers[n] = (np.empty((2, n)), x,
+            draw = np.empty(2 * n)
+            buffers = self._buffers[n] = (draw, draw.reshape(2, n), x,
                                           x.view(np.float64).reshape(n, 2).T)
-        draw, x, parts = buffers
-        self._rng.random(out=draw)
-        np.subtract(draw, 0.5, out=parts)
+        draw, rows, x, parts = buffers
+        pool, start = self._pool, self._pooled
+        if start == POOL_SIZE and 2 * n <= POOL_SIZE:
+            self._rng.random(out=pool)
+            pool -= 0.5
+            start = 0
+        end = start + 2 * n
+        if end <= POOL_SIZE:
+            parts[...] = pool[start:end].reshape(2, n)
+            self._pooled = end
+        else:
+            if start < POOL_SIZE:
+                # the pool's remainder comes first in the stream, then fresh draws
+                np.add(pool[start:], 0.5, out=draw[:POOL_SIZE - start])
+                self._rng.random(out=draw[POOL_SIZE - start:])
+                self._pooled = POOL_SIZE
+            else:
+                self._rng.random(out=draw)
+            np.subtract(rows, 0.5, out=parts)
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))

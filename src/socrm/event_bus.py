@@ -99,7 +99,10 @@ class EventServer:
     nor after an accept() that failed for another reason than the client
     giving up (running out of file descriptors, say), which would leave it
     readable and `get()` spinning.  It is watched again when a connection
-    closes, or after a select() slice in which nothing was ready.
+    closes, or after a select() slice in which nothing was ready.  After such
+    a slice with every slot taken, `get(timeout)` closes the connections that
+    have sent nothing for `timeout` seconds, so silent clients cannot keep
+    the others waiting for good.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
@@ -159,11 +162,14 @@ class EventServer:
             self._watch_listener(False)
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
-        # tail: the bytes after the last newline; last_seq: the last one queued
-        peer = types.SimpleNamespace(addr=addr, tail=b"", last_seq=None)
+        # tail: the bytes after the last newline; last_seq: the last one queued;
+        # last_read: when the peer last sent something (or connected)
+        peer = types.SimpleNamespace(addr=addr, tail=b"", last_seq=None,
+                                     last_read=time.monotonic())
         self._selector.register(conn, selectors.EVENT_READ, functools.partial(self._read, peer))
 
     def _read(self, peer: types.SimpleNamespace, conn: socket.socket):
+        peer.last_read = time.monotonic()
         try:
             chunk = conn.recv(MAX_LINE_BYTES)
         except BlockingIOError:
@@ -197,10 +203,22 @@ class EventServer:
         else:
             if chunk:
                 return
+        self._close(conn)
+
+    def _close(self, conn: socket.socket):
         self._selector.unregister(conn)
         conn.close()
         self._connections -= 1
         self._watch_listener(True)
+
+    def _close_silent(self, timeout: float):
+        """Close every connection that has sent nothing for `timeout` seconds."""
+        silent_since = time.monotonic() - timeout
+        for key in list(self._selector.get_map().values()):
+            # a connection's data is functools.partial(self._read, peer)
+            if key.fileobj is not self._sock and key.data.args[0].last_read <= silent_since:
+                logger.debug("closing %s, silent for %gs", key.data.args[0].addr, timeout)
+                self._close(key.fileobj)
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
         """Next event in FIFO order, or None on timeout / after stop."""
@@ -213,6 +231,8 @@ class EventServer:
             if self._queue:
                 return self._queue.popleft()
             if not ready:
+                if self._connections >= MAX_CONNECTIONS and timeout is not None:
+                    self._close_silent(timeout)
                 self._watch_listener(self._connections < MAX_CONNECTIONS)
             wait = SELECT_SLICE_S if deadline is None else min(
                 deadline - time.monotonic(), SELECT_SLICE_S)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socrm import controller as ctl
@@ -198,8 +198,9 @@ class TestProcessEvent:
 
 
 class TestInputBlocks:
-    """The controller draws each input block as one `random(2 * n)`; it must
-    feed the FFTs exactly the blocks two `uniform(-0.5, 0.5, n)` calls give."""
+    """Whether a block is copied out of the controller's pool of draws, takes
+    what is left of it or draws its own, the controller must feed the FFTs
+    exactly the blocks two `uniform(-0.5, 0.5, n)` calls give."""
 
     FACES = [0, 1, 2, 3, 1, 0, 3, 3, 2, 0, 2, 1]
 
@@ -236,6 +237,63 @@ class TestInputBlocks:
                     fft_engines.fft_float(expected), fft_engines.dequantize(fixed) * n)
             else:
                 assert report.mse is None
+
+    # APU 8 blocks per full pool
+    PER_POOL = ctl.POOL_SIZE // 16
+    # from a fresh controller: many refills, each pool emptied exactly by its
+    # last APU 8 block; then an APU 1024, a PL 2048 and a PL 4096 block each
+    # taking the remainder a few APU 8 blocks left; then a block of each size
+    # meeting an empty pool
+    POOL_FACES = ([0] * (4 * PER_POOL + 7) + [1] + [0] * 5 + [2] + [0] * 9 + [3]
+                  + [0] * PER_POOL + [1] + [0] * PER_POOL + [2]
+                  + [0] * PER_POOL + [3] + [0] * 2)
+
+    @classmethod
+    def blocks(cls, seed, faces):
+        """Each event's input block and the pool's read position before it."""
+        c = ctl.Controller(seed=seed)
+        blocks, before = [], []
+        fft_float = fft_engines.fft_float
+
+        def recording(x):
+            blocks.append(x.copy())
+            return fft_float(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fft_engines, "fft_float", recording)
+            for event in make_events(faces):
+                before.append(c._pooled)
+                c.process_event(event)
+        return blocks, before
+
+    def assert_blocks_match(self, seed, faces):
+        blocks, before = self.blocks(seed, faces)
+        assert len(blocks) == len(faces)
+        for block, (n, expected) in zip(blocks, self.reference(seed, faces)):
+            assert block.shape == (n,)
+            assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+        return before
+
+    def test_blocks_across_every_pool_branch(self):
+        faces = self.POOL_FACES
+        before = self.assert_blocks_match(11, faces)
+        # the first run refills at every PER_POOL-th block, each time after
+        # the block before it emptied the pool exactly
+        run = before[:4 * self.PER_POOL + 1]
+        assert run[::self.PER_POOL] == [ctl.POOL_SIZE] * 5
+        assert run[self.PER_POOL - 1::self.PER_POOL] == [ctl.POOL_SIZE - 16] * 4
+        sizes = [ctl.decide(count)[1] for count in faces]
+        remainders = {n for n, at in zip(sizes, before) if n > 8 and at < ctl.POOL_SIZE}
+        empties = {n for n, at in zip(sizes, before) if n > 8 and at == ctl.POOL_SIZE}
+        assert remainders == empties == {1024, 2048, 4096}
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.lists(st.one_of(st.tuples(st.just(0), st.integers(1, 2 * PER_POOL)),
+                              st.tuples(st.integers(1, 4), st.integers(1, 2))),
+                    max_size=10))
+    def test_any_face_sequence_reads_the_stream_in_order(self, seed, runs):
+        self.assert_blocks_match(seed, [count for count, times in runs for _ in range(times)])
 
 
 class TestInputBuffers:

@@ -382,6 +382,26 @@ class TestLiveness:
                 emitter.close()
             srv.stop()
 
+    def test_silent_clients_give_up_their_slots_after_the_timeout(self, server):
+        timeout = 0.5
+        silent = []
+        try:
+            for _ in range(eb.MAX_CONNECTIONS):
+                silent.append(socket.create_connection(server.address, timeout=2.0))
+                assert server.get(timeout=0) is None  # accepts it
+            accepted = time.monotonic()
+            with eb.Emitter(server.address) as emitter:
+                sent = emitter.emit(3)
+                assert (server.get(timeout=timeout) or server.get(timeout=timeout)) == sent
+                assert time.monotonic() - accepted >= timeout
+                assert [client.recv(1) for client in silent] == [b""] * len(silent)
+                # the connection that took a freed slot is served as usual
+                sent = emitter.emit(4)
+                assert server.get(timeout=2.0) == sent
+        finally:
+            for client in silent:
+                client.close()
+
     def test_restarted_server_accepts_again(self, server):
         server.stop()
         server.start()
