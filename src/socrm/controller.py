@@ -51,8 +51,8 @@ INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
 _LAST_RULE = max(RULES)
 
 # doubles in a controller's pool of input draws (8 KiB).  A block of up to
-# this many is copied out of the pool; a strided copy stops beating the
-# subtract ufunc at 512 complex points, so larger blocks draw their own.
+# this many is copied out of the pool; larger blocks draw their own, because
+# a strided copy is slower than the subtract ufunc from 512 complex points up.
 POOL_SIZE = 1024
 
 

@@ -215,9 +215,11 @@ class EventServer:
         """Close every connection that has sent nothing for `timeout` seconds."""
         silent_since = time.monotonic() - timeout
         for key in list(self._selector.get_map().values()):
-            # a connection's data is functools.partial(self._read, peer)
-            if key.fileobj is not self._sock and key.data.args[0].last_read <= silent_since:
-                logger.debug("closing %s, silent for %gs", key.data.args[0].addr, timeout)
+            if key.fileobj is self._sock:
+                continue
+            peer = key.data.args[0]  # a connection's data is partial(self._read, peer)
+            if peer.last_read <= silent_since:
+                logger.debug("closing %s, silent for %gs", peer.addr, timeout)
                 self._close(key.fileobj)
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
