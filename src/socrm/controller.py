@@ -9,15 +9,16 @@ returns an execution report with modeled timing and, on PL, the MSE
 against the floating-point reference.  Reports carry no power: telemetry
 and the run summary look it up in the `PowerModel`.
 
-Each controller keeps one set of input buffers per transform size and fills
-every input block into them, so a block lives only until the next event of
-the same size overwrites it.  Small blocks are copied out of a pool of
-pre-shifted draws that the controller refills `POOL_SIZE` at a time; larger
-ones take what is left of the pool and draw the rest themselves, so the
-random stream is read in the same order either way.  Nothing outlives a
-block: `fft_float` returns a fresh array and `quantize` scales into a new
-one, so reports hold no view of it.  The per-event records, `FaceEvent` and
-`ExecutionReport`, are immutable named tuples.
+Each controller keeps one input buffer per transform size and fills every
+input block into it, so a block lives only until the next event of the same
+size overwrites it.  Small blocks are copied out of a pool of pre-shifted
+draws that the controller refills `POOL_SIZE` at a time; a larger block
+draws the rest of its values right after the pool's unread raw draws and
+shifts them all in one call, so the random stream is read in the same order
+either way.  Nothing outlives a block: `fft_float` returns a fresh array and
+`quantize` scales into a new one, so reports hold no view of it.  The
+per-event records, `FaceEvent` and `ExecutionReport`, are immutable named
+tuples.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ RULES = {0: (APU, 8), 1: (APU, 1024), 2: (PL, 2048), 3: (PL, 4096)}
 INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
 _LAST_RULE = max(RULES)
 
-# doubles in a controller's pool of input draws (8 KiB).  A block of up to
-# this many is copied out of the pool; larger blocks draw their own, because
-# a strided copy is slower than the subtract ufunc from 512 complex points up.
+# doubles in a controller's pool of input draws (8 KiB).  Blocks of fewer
+# than POOL_SIZE / 2 points (up to 256) are copied out of the pool; larger
+# ones are shifted by the subtract ufunc, which beats a strided copy from 512
+# points up.
 POOL_SIZE = 1024
+_MAX_POINTS = max(points for _, points in RULES.values())
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,16 @@ class Controller:
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
-        self._buffers: dict[int, tuple[np.ndarray, ...]] = {}
+        # raw draws: the pool's, then room for the rest of the largest block
+        self._draws = np.empty(POOL_SIZE + 2 * _MAX_POINTS)
         # the next POOL_SIZE - _pooled draws of the stream, each minus 0.5
         self._pool = np.empty(POOL_SIZE)
         self._pooled = POOL_SIZE
+        self._inputs: dict[int, np.ndarray] = {}
+        # (points, pool read position) -> (x, parts, source, fresh): the
+        # views one block reads and writes, fresh None for a copy out of
+        # the pool
+        self._blocks: dict[tuple[int, int], tuple[np.ndarray | None, ...]] = {}
 
     def process_event(self, event: FaceEvent):
         """decide -> plan -> apply, then execute one FFT of the new config."""
@@ -169,34 +178,38 @@ class Controller:
         # -0.5 + 1.0 * u and reads the stream in the same order: the first n
         # draws are the real parts and the next n the imaginary parts, and
         # `parts` views x's real parts as row 0 and its imaginary parts as
-        # row 1.  u - 0.5 and (u - 0.5) + 0.5 are exact for every u = k * 2^-53
-        # in [0, 1), so a pooled draw is the shifted one and gives back u.  The
+        # row 1.  The pool holds each draw u as u - 0.5, which is exact for
+        # every u = k * 2^-53 in [0, 1), and _draws[:POOL_SIZE] keeps the raw
+        # u, so a block that does not fit in what is left of the pool draws
+        # the rest right after it and one subtract shifts them all.  The
         # block is overwritten at the next event of this size.
-        buffers = self._buffers.get(n)
-        if buffers is None:
-            x = np.empty(n, dtype=np.complex128)
-            draw = np.empty(2 * n)
-            buffers = self._buffers[n] = (draw, draw.reshape(2, n), x,
-                                          x.view(np.float64).reshape(n, 2).T)
-        draw, rows, x, parts = buffers
-        pool, start = self._pool, self._pooled
-        if start == POOL_SIZE and 2 * n <= POOL_SIZE:
-            self._rng.random(out=pool)
-            pool -= 0.5
-            start = 0
-        end = start + 2 * n
-        if end <= POOL_SIZE:
-            parts[...] = pool[start:end].reshape(2, n)
-            self._pooled = end
-        else:
-            if start < POOL_SIZE:
-                # the pool's remainder comes first in the stream, then fresh draws
-                np.add(pool[start:], 0.5, out=draw[:POOL_SIZE - start])
-                self._rng.random(out=draw[POOL_SIZE - start:])
-                self._pooled = POOL_SIZE
+        start = self._pooled
+        block = self._blocks.get((n, start))
+        if block is None:
+            x = self._inputs.get(n)
+            if x is None:
+                x = self._inputs[n] = np.empty(n, dtype=np.complex128)
+            parts = x.view(np.float64).reshape(n, 2).T
+            at = 0 if start == POOL_SIZE else start  # an empty pool is refilled
+            if 2 * n < POOL_SIZE and at + 2 * n <= POOL_SIZE:
+                block = (x, parts, self._pool[at:at + 2 * n].reshape(2, n), None)
             else:
-                self._rng.random(out=draw)
-            np.subtract(rows, 0.5, out=parts)
+                end = start + 2 * n
+                block = (x, parts, self._draws[start:end].reshape(2, n),
+                         self._draws[POOL_SIZE:end])
+            self._blocks[n, start] = block
+        x, parts, source, fresh = block
+        if fresh is None:  # a copy out of the pool
+            if start == POOL_SIZE:
+                self._rng.random(out=self._draws[:POOL_SIZE])
+                np.subtract(self._draws[:POOL_SIZE], 0.5, out=self._pool)
+                start = 0
+            parts[...] = source
+            self._pooled = start + 2 * n
+        else:  # the pool's unread draws, if any, then fresh ones
+            self._rng.random(out=fresh)
+            np.subtract(source, 0.5, out=parts)
+            self._pooled = POOL_SIZE
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))

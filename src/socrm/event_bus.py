@@ -100,9 +100,12 @@ class EventServer:
     giving up (running out of file descriptors, say), which would leave it
     readable and `get()` spinning.  It is watched again when a connection
     closes, or after a select() slice in which nothing was ready.  After such
-    a slice with every slot taken, `get(timeout)` closes the connections that
-    have sent nothing for `timeout` seconds, so silent clients cannot keep
-    the others waiting for good.
+    a slice with every slot taken, `get(timeout)` with a timeout above zero
+    closes the connections that have delivered no event and have sent
+    nothing for over `timeout` seconds and, before it returns, accepts a
+    client waiting in the backlog and reads what it has sent, so silent
+    clients cannot keep the others waiting.  An emitter that has delivered
+    events keeps its slot however long it pauses.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
@@ -211,21 +214,26 @@ class EventServer:
         self._connections -= 1
         self._watch_listener(True)
 
-    def _close_silent(self, timeout: float):
-        """Close every connection that has sent nothing for `timeout` seconds."""
+    def _close_silent(self, timeout: float) -> bool:
+        """Close every connection that has delivered no event and has sent
+        nothing for over `timeout` seconds; True if any was closed."""
         silent_since = time.monotonic() - timeout
+        closed = False
         for key in list(self._selector.get_map().values()):
             if key.fileobj is self._sock:
                 continue
             peer = key.data.args[0]  # a connection's data is partial(self._read, peer)
-            if peer.last_read <= silent_since:
+            if peer.last_seq is None and peer.last_read < silent_since:
                 logger.debug("closing %s, silent for %gs", peer.addr, timeout)
                 self._close(key.fileobj)
+                closed = True
+        return closed
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
         """Next event in FIFO order, or None on timeout / after stop."""
         deadline = None if timeout is None else time.monotonic() + timeout
         wait = 0.0
+        owed = 0  # zero-wait passes still due after silent connections closed
         while self._selector is not None and wait >= 0:
             ready = self._selector.select(wait)
             for key, _ in ready:
@@ -233,11 +241,19 @@ class EventServer:
             if self._queue:
                 return self._queue.popleft()
             if not ready:
-                if self._connections >= MAX_CONNECTIONS and timeout is not None:
-                    self._close_silent(timeout)
+                if (self._connections >= MAX_CONNECTIONS and timeout is not None
+                        and timeout > 0 and self._close_silent(timeout)):
+                    # the sweep may come at the deadline: one more pass
+                    # accepts a client waiting in the backlog and the next
+                    # reads what it sent, before this call can run out
+                    owed = 2
                 self._watch_listener(self._connections < MAX_CONNECTIONS)
-            wait = SELECT_SLICE_S if deadline is None else min(
-                deadline - time.monotonic(), SELECT_SLICE_S)
+            if owed:
+                owed -= 1
+                wait = 0.0
+            else:
+                wait = SELECT_SLICE_S if deadline is None else min(
+                    deadline - time.monotonic(), SELECT_SLICE_S)
         return None
 
     def events(self, timeout: float | None = None):

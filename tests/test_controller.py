@@ -287,6 +287,16 @@ class TestInputBlocks:
         empties = {n for n, at in zip(sizes, before) if n > 8 and at == ctl.POOL_SIZE}
         assert remainders == empties == {1024, 2048, 4096}
 
+    @pytest.mark.parametrize("pool_size", [40, 44, 1000])
+    def test_pooled_blocks_that_straddle_the_pool_end(self, pool_size, monkeypatch):
+        # with a pool that 16 does not divide, an APU 8 block takes what is
+        # left of it (8 or 12 draws, so part of the imaginary row too) and
+        # draws the rest
+        monkeypatch.setattr(ctl, "POOL_SIZE", pool_size)
+        faces = [0] * 200 + [1] + [0] * 7 + [2] + [0] * 3 + [3] + [0] * 70
+        before = self.assert_blocks_match(21, faces)
+        assert any(pool_size - 16 < at < pool_size for at in before)
+
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.lists(st.one_of(st.tuples(st.just(0), st.integers(1, 2 * PER_POOL)),

@@ -392,7 +392,7 @@ class TestLiveness:
             accepted = time.monotonic()
             with eb.Emitter(server.address) as emitter:
                 sent = emitter.emit(3)
-                assert (server.get(timeout=timeout) or server.get(timeout=timeout)) == sent
+                assert server.get(timeout=timeout) == sent
                 assert time.monotonic() - accepted >= timeout
                 assert [client.recv(1) for client in silent] == [b""] * len(silent)
                 # the connection that took a freed slot is served as usual
@@ -400,6 +400,24 @@ class TestLiveness:
                 assert server.get(timeout=2.0) == sent
         finally:
             for client in silent:
+                client.close()
+
+    def test_zero_timeout_poll_with_every_slot_taken_closes_nothing(self, server):
+        clients = []
+        try:
+            for _ in range(eb.MAX_CONNECTIONS):
+                clients.append(socket.create_connection(server.address, timeout=2.0))
+                assert server.get(timeout=0) is None  # accepts it
+            time.sleep(0.05)
+            for _ in range(3):
+                assert server.get(timeout=0) is None
+            # every connection is still open and served
+            for seq, client in enumerate(clients, start=1):
+                client.sendall(eb.encode_event(eb.FaceEvent(1, seq, 0)).encode())
+            got = [server.get(timeout=2.0) for _ in clients]
+            assert sorted(event.seq for event in got) == list(range(1, len(clients) + 1))
+        finally:
+            for client in clients:
                 client.close()
 
     def test_restarted_server_accepts_again(self, server):
