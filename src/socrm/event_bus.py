@@ -233,7 +233,6 @@ class EventServer:
         """Next event in FIFO order, or None on timeout / after stop."""
         deadline = None if timeout is None else time.monotonic() + timeout
         wait = 0.0
-        owed = 0  # zero-wait passes still due after silent connections closed
         while self._selector is not None and wait >= 0:
             ready = self._selector.select(wait)
             for key, _ in ready:
@@ -246,14 +245,14 @@ class EventServer:
                     # the sweep may come at the deadline: one more pass
                     # accepts a client waiting in the backlog and the next
                     # reads what it sent, before this call can run out
-                    owed = 2
+                    for _ in range(2):
+                        for key, _mask in self._selector.select(0):
+                            key.data(key.fileobj)
+                    if self._queue:
+                        return self._queue.popleft()
                 self._watch_listener(self._connections < MAX_CONNECTIONS)
-            if owed:
-                owed -= 1
-                wait = 0.0
-            else:
-                wait = SELECT_SLICE_S if deadline is None else min(
-                    deadline - time.monotonic(), SELECT_SLICE_S)
+            wait = SELECT_SLICE_S if deadline is None else min(
+                deadline - time.monotonic(), SELECT_SLICE_S)
         return None
 
     def events(self, timeout: float | None = None):

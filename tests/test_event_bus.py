@@ -411,7 +411,11 @@ class TestLiveness:
             time.sleep(0.05)
             for _ in range(3):
                 assert server.get(timeout=0) is None
-            # every connection is still open and served
+            for client in clients:  # still open: no data and no end of stream
+                client.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    client.recv(1)
+            # and served
             for seq, client in enumerate(clients, start=1):
                 client.sendall(eb.encode_event(eb.FaceEvent(1, seq, 0)).encode())
             got = [server.get(timeout=2.0) for _ in clients]
