@@ -10,7 +10,6 @@ source for tests and demos.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import selectors
@@ -32,7 +31,8 @@ class TransportError(ConnectionError):
 
 
 # the largest integer an event input may carry (a wire field, or a trace's
-# delay or face count): exact in a double, so dwell and energy sums cannot
+# delay or face count), and the largest number a profile may: exact in a
+# double, so dwell, power-row totals, jittered times and energy sums cannot
 # overflow, and as a delay in microseconds within the range of time.sleep
 MAX_FIELD = 2 ** 53 - 1
 
@@ -95,17 +95,17 @@ class EventServer:
     regressions and lines over MAX_LINE_BYTES, terminated or not (which also
     close their connection), are counted and skipped, never fatal.
 
-    The listener is not watched while MAX_CONNECTIONS connections are open,
-    nor after an accept() that failed for another reason than the client
-    giving up (running out of file descriptors, say), which would leave it
-    readable and `get()` spinning.  It is watched again when a connection
-    closes, or after a select() slice in which nothing was ready.  After such
-    a slice with every slot taken, `get(timeout)` with a timeout above zero
-    closes the connections that have delivered no event and have sent
-    nothing for over `timeout` seconds and, before it returns, accepts a
-    client waiting in the backlog and reads what it has sent, so silent
-    clients cannot keep the others waiting.  An emitter that has delivered
-    events keeps its slot however long it pauses.
+    The listener is watched while fewer than MAX_CONNECTIONS connections are
+    open, except after an accept() that failed for another reason than the
+    client giving up (running out of file descriptors, say, which would leave
+    it readable and `get()` spinning), until a connection closes or a
+    select() slice passes in which nothing was ready.  After such a slice
+    with every slot taken, `get(timeout)` with a timeout above zero closes
+    the connections that have delivered no event and have sent nothing for
+    over `timeout` seconds and, before it returns, accepts a client waiting
+    in the backlog and reads what it has sent, so silent clients cannot keep
+    the others waiting.  An emitter that has delivered events keeps its slot
+    however long it pauses.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, capacity: int = 1024):
@@ -115,8 +115,10 @@ class EventServer:
         self._queue: deque = deque(maxlen=capacity)
         self._sock: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
-        self._connections = 0
-        self._listening = False
+        # every open connection -> its peer: addr; tail, the bytes after the
+        # last newline; last_seq, the last one queued; last_read, when the
+        # peer last sent something (or connected)
+        self._peers: dict[socket.socket, types.SimpleNamespace] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -127,49 +129,57 @@ class EventServer:
         self._sock = socket.create_server(self._bind_address, backlog=8)
         self._sock.setblocking(False)
         self._selector = selectors.DefaultSelector()
-        self._watch_listener(True)
+        self._watch_listener()
         return self
 
     def stop(self):
         """Close the listener, every connection and the selector; idempotent."""
         if self._selector is None:
             return
-        for key in list(self._selector.get_map().values()):
-            key.fileobj.close()
-        self._sock.close()  # also when it is not watched
+        for conn in self._peers:
+            conn.close()
+        self._peers.clear()
+        self._sock.close()
         self._selector.close()
         self._selector = None
-        self._connections = 0
-        self._listening = False
 
-    def _watch_listener(self, watch: bool):
-        if watch == self._listening:
-            return
-        if watch:
-            self._selector.register(self._sock, selectors.EVENT_READ, self._accept)
-        else:
-            self._selector.unregister(self._sock)
-        self._listening = watch
+    def _watch_listener(self, accept_failed: bool = False):
+        """Watch the listener or not, by the rule in the class docstring; run
+        wherever its inputs change: start, an accept, a close, an idle slice."""
+        watch = len(self._peers) < MAX_CONNECTIONS and not accept_failed
+        if watch != (self._sock in self._selector.get_map()):
+            if watch:
+                self._selector.register(self._sock, selectors.EVENT_READ)
+            else:
+                self._selector.unregister(self._sock)
 
-    def _accept(self, sock: socket.socket):
+    def _poll(self, wait: float) -> bool:
+        """One select() of up to `wait` seconds; accepts or reads whatever is
+        ready.  True if anything was."""
+        ready = self._selector.select(wait)
+        for key, _mask in ready:
+            conn = key.fileobj
+            if conn is self._sock:
+                self._accept()
+            else:
+                self._read(self._peers[conn], conn)
+        return bool(ready)
+
+    def _accept(self):
         try:
-            conn, addr = sock.accept()
+            conn, addr = self._sock.accept()
         except (BlockingIOError, ConnectionAbortedError):  # the client gave up
             return
         except OSError as exc:
             logger.warning("accept failed, listener set aside: %s", exc)
-            self._watch_listener(False)
+            self._watch_listener(accept_failed=True)
             return
-        self._connections += 1
-        if self._connections >= MAX_CONNECTIONS:
-            self._watch_listener(False)
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
-        # tail: the bytes after the last newline; last_seq: the last one queued;
-        # last_read: when the peer last sent something (or connected)
-        peer = types.SimpleNamespace(addr=addr, tail=b"", last_seq=None,
-                                     last_read=time.monotonic())
-        self._selector.register(conn, selectors.EVENT_READ, functools.partial(self._read, peer))
+        self._peers[conn] = types.SimpleNamespace(addr=addr, tail=b"", last_seq=None,
+                                                  last_read=time.monotonic())
+        self._selector.register(conn, selectors.EVENT_READ)
+        self._watch_listener()
 
     def _read(self, peer: types.SimpleNamespace, conn: socket.socket):
         peer.last_read = time.monotonic()
@@ -211,46 +221,39 @@ class EventServer:
     def _close(self, conn: socket.socket):
         self._selector.unregister(conn)
         conn.close()
-        self._connections -= 1
-        self._watch_listener(True)
+        del self._peers[conn]
+        self._watch_listener()
 
     def _close_silent(self, timeout: float) -> bool:
         """Close every connection that has delivered no event and has sent
         nothing for over `timeout` seconds; True if any was closed."""
         silent_since = time.monotonic() - timeout
-        closed = False
-        for key in list(self._selector.get_map().values()):
-            if key.fileobj is self._sock:
-                continue
-            peer = key.data.args[0]  # a connection's data is partial(self._read, peer)
-            if peer.last_seq is None and peer.last_read < silent_since:
-                logger.debug("closing %s, silent for %gs", peer.addr, timeout)
-                self._close(key.fileobj)
-                closed = True
-        return closed
+        silent = [conn for conn, peer in self._peers.items()
+                  if peer.last_seq is None and peer.last_read < silent_since]
+        for conn in silent:
+            logger.debug("closing %s, silent for %gs", self._peers[conn].addr, timeout)
+            self._close(conn)
+        return bool(silent)
 
     def get(self, timeout: float | None = None) -> FaceEvent | None:
         """Next event in FIFO order, or None on timeout / after stop."""
         deadline = None if timeout is None else time.monotonic() + timeout
         wait = 0.0
         while self._selector is not None and wait >= 0:
-            ready = self._selector.select(wait)
-            for key, _ in ready:
-                key.data(key.fileobj)
+            ready = self._poll(wait)
             if self._queue:
                 return self._queue.popleft()
             if not ready:
-                if (self._connections >= MAX_CONNECTIONS and timeout is not None
+                if (len(self._peers) >= MAX_CONNECTIONS and timeout is not None
                         and timeout > 0 and self._close_silent(timeout)):
                     # the sweep may come at the deadline: one more pass
                     # accepts a client waiting in the backlog and the next
                     # reads what it sent, before this call can run out
-                    for _ in range(2):
-                        for key, _mask in self._selector.select(0):
-                            key.data(key.fileobj)
+                    self._poll(0)
+                    self._poll(0)
                     if self._queue:
                         return self._queue.popleft()
-                self._watch_listener(self._connections < MAX_CONNECTIONS)
+                self._watch_listener()
             wait = SELECT_SLICE_S if deadline is None else min(
                 deadline - time.monotonic(), SELECT_SLICE_S)
         return None

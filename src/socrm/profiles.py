@@ -10,16 +10,18 @@ device's calibration.  Layout:
     }
 
 Every key and value is checked: FFT sizes are powers of two >= 2, times are
-finite numbers > 0 and power rows are three finite numbers >= 0.  Anything
-else is a ConfigError, including any other top-level key: a rail's static
-power is the non-hosting rail of the power rows, so it has no section.
+numbers in (0, MAX_FIELD] and power rows are three numbers in [0, MAX_FIELD],
+the bound of every event integer, so row totals, jittered times and energy
+sums stay finite.  Anything else is a ConfigError, including any other
+top-level key: a rail's static power is the non-hosting rail of the power
+rows, so it has no section.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
+from .event_bus import MAX_FIELD
 from .fft_engines import APU, PL
 from .power_model import PowerModel
 from .timing_model import TimingModel
@@ -43,11 +45,11 @@ def read_json_object(path, what: str) -> dict:
 
 
 def _number(value, where: str, positive: bool = False) -> float:
-    """A finite JSON number (not a bool), >= 0 or, if `positive`, > 0."""
+    """A JSON number (not a bool) in [0, MAX_FIELD] or, if `positive`, in (0, MAX_FIELD]."""
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-        raise ValueError(f"{where} must be a finite number {'>' if positive else '>='} 0,"
-                         f" got {value!r}")
+            or not 0 <= value <= MAX_FIELD or (positive and value == 0)):
+        raise ValueError(f"{where} must be a number in {'(' if positive else '['}0,"
+                         f" {MAX_FIELD}], got {value!r}")
     return float(value)
 
 
@@ -85,7 +87,7 @@ def load_profile(path) -> dict:
                                      lambda v, where: _number(v, where, positive=True))
         if "power_mw" in obj:
             out["power"] = _flatten(obj["power_mw"], "power_mw", _power_row)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"malformed profile {path}: {exc}") from exc
     return out
 

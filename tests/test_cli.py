@@ -2,8 +2,10 @@ import contextlib
 import gc
 import io
 import json
+import math
 import shutil
 import socket
+import sys
 import threading
 import time
 
@@ -488,6 +490,7 @@ def _edited(path, value):
     pytest.param(_edited(["timing_us", "APU", "7"], 1.0), id="size-not-power-of-two"),
     pytest.param(_edited(["timing_us", "APU", "1"], 1.0), id="size-one"),
     pytest.param(_edited(["timing_us", "GPU"], {"8": 1.0}), id="unknown-domain"),
+    pytest.param(_edited(["timing_us", "APU"], [0.28]), id="domain-not-an-object"),
     # static rail power lives in the power rows alone, so this section is refused
     # whatever it holds
     pytest.param(_edited(["static_mw"], {"APU": 2024, "PL": 1187}), id="static-section"),
@@ -505,6 +508,46 @@ def test_full_profile_runs(tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(_full_profile()))
     assert run_cli(["run", "--profile", str(path)]) == run_cli(["run"])
+
+
+def _strict_records(path) -> list:
+    """The JSON lines of a telemetry file; `inf`, `Infinity` or `NaN` fail."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
+
+
+# a row total of 2e308 and an APU time that jitter can take past the float range
+@pytest.mark.parametrize("path, value, flags", [
+    pytest.param(["power_mw", "APU", "8"], [1e308, 1e308, 0], [], id="row-total-overflows"),
+    pytest.param(["timing_us", "APU", "8"], sys.float_info.max, ["--jitter", "0.5"],
+                 id="jittered-time-overflows"),
+    pytest.param(["power_mw", "APU", "8"], [MAX_FIELD + 1, 0, 0], [], id="one-over-the-bound"),
+])
+def test_profile_number_over_max_field_is_config_error(tmp_path, path, value, flags):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(_edited(path, value)))
+    telemetry = tmp_path / "telemetry.jsonl"
+    code, out = run_cli(["run", "--profile", str(profile), *flags,
+                         "--telemetry-file", str(telemetry)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert out == "" and not telemetry.exists()
+
+
+def test_profile_numbers_at_max_field_give_parseable_telemetry(tmp_path):
+    profile = _edited(["power_mw", "APU", "8"], [MAX_FIELD] * 3)
+    profile["timing_us"]["APU"]["8"] = MAX_FIELD
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    telemetry = tmp_path / "telemetry.jsonl"
+    code, out = run_cli(["run", "--profile", str(path), "--jitter", "0.5",
+                         "--telemetry-file", str(telemetry)])
+    assert code == cli.EXIT_OK
+    first, *rest = _strict_records(telemetry)
+    assert (first["domain"], first["points"], first["total_mw"]) == ("APU", 8, 3.0 * MAX_FIELD)
+    assert math.isfinite(first["last_exec_time_us"]) and first["last_exec_time_us"] > 0
+    assert all(math.isfinite(record["total_mw"]) for record in rest)
+    assert "inf" not in out
 
 
 class TestEmit:
@@ -565,6 +608,9 @@ json_values = st.recursive(
                    | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
     max_leaves=12)
 numbers = st.integers(min_value=-3, max_value=5000) | st.floats()
+# the bound on every profile number, the first number over it, and the largest
+# float, which overflows in a row total or under jitter
+bounds = st.sampled_from([MAX_FIELD, MAX_FIELD + 1, sys.float_info.max])
 domains = st.sampled_from(["APU", "PL", "GPU", ""])
 sizes = st.sampled_from(["2", "8", "1024", "2048", "4096", "3", "0", "-8", "08", "1e3"])
 
@@ -574,6 +620,13 @@ def _profile_section(leaf):
     return st.dictionaries(domains, by_size | json_values, max_size=3) | json_values
 
 
+# every number of the full default profile, by its path
+_PROFILE_LEAVES = [
+    [section, domain, size, *index]
+    for section, by_domain in _full_profile().items()
+    for domain, by_size in by_domain.items()
+    for size, value in by_size.items()
+    for index in ([[i] for i in range(len(value))] if isinstance(value, list) else [[]])]
 profiles = json_values | st.fixed_dictionaries({}, optional={
     "timing_us": _profile_section(numbers),
     "power_mw": _profile_section(st.lists(numbers, min_size=2, max_size=4)),
@@ -610,10 +663,27 @@ def test_any_trace_file_loads_or_is_config_error(tmp_path, text):
 @hostile
 @given(profile=profiles)
 def test_any_profile_loads_or_is_config_error(tmp_path, profile):
+    _run_profile(tmp_path, profile)
+
+
+@hostile
+@given(leaf=st.sampled_from(_PROFILE_LEAVES), value=bounds | numbers)
+def test_any_number_of_the_full_profile_loads_or_is_config_error(tmp_path, leaf, value):
+    _run_profile(tmp_path, _edited(leaf, value))
+
+
+def _run_profile(tmp_path, profile):
+    """Run the demo trace on `profile` with jitter: it exits 0 with telemetry
+    that is JSON and has finite rows, or exits 2."""
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(profile))
-    assert run_cli(["run", "--profile", str(path)])[0] in (
-        cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+    telemetry = tmp_path / "telemetry.jsonl"
+    telemetry.unlink(missing_ok=True)
+    code, _ = run_cli(["run", "--profile", str(path), "--jitter", "0.5",
+                       "--telemetry-file", str(telemetry)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+    if code == cli.EXIT_OK:
+        assert all(math.isfinite(record["total_mw"]) for record in _strict_records(telemetry))
 
 
 @hostile

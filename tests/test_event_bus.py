@@ -1,7 +1,9 @@
 import contextlib
 import resource
+import select
 import signal
 import socket
+import struct
 import threading
 import time
 import types
@@ -249,6 +251,12 @@ def no_free_descriptors():
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
+def reset(sock: socket.socket):
+    """Close `sock` with a TCP reset instead of an orderly end of stream."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
 def event_line(faces: int, seq: int = 1) -> bytes:
     return eb.encode_event(eb.FaceEvent(faces, seq, 0)).encode("utf-8")
 
@@ -273,11 +281,13 @@ def _served(chunks):
     """The events `EventServer._read` queues and the malformed lines it counts
     when one connection delivers `chunks`."""
     server = eb.EventServer()
-    server._selector = types.SimpleNamespace(unregister=lambda conn: None)
-    server._listening = True  # so closing the connection registers nothing
-    server._connections = 1
+    # a selector that watches the listener already, so that closing the
+    # connection only unregisters it
+    server._selector = types.SimpleNamespace(get_map=lambda: {server._sock: None},
+                                             unregister=lambda conn: None)
     peer = types.SimpleNamespace(addr=None, tail=b"", last_seq=None)
     conn = _ChunkedConnection(chunks)
+    server._peers[conn] = peer
     while not conn.closed:
         server._read(peer, conn)
     return list(server._queue), server.malformed_count
@@ -424,6 +434,32 @@ class TestLiveness:
             for client in clients:
                 client.close()
 
+    def test_reset_connection_frees_its_slot_and_is_not_malformed(self, monkeypatch):
+        monkeypatch.setattr(eb, "MAX_CONNECTIONS", 2)
+        srv = eb.EventServer("127.0.0.1", 0).start()
+        resetter = socket.create_connection(srv.address, timeout=2.0)
+        emitter = late = None
+        try:
+            emitter = eb.Emitter(srv.address)
+            # an event, so that no sweep closes it, then an unterminated line,
+            # which would count as malformed at an orderly end of stream
+            resetter.sendall(event_line(5) + b'{"faces": 9')
+            emitter.emit(1)
+            assert {srv.get(timeout=2.0).faces for _ in range(2)} == {1, 5}
+            assert srv.get(timeout=0.1) is None
+            late = eb.Emitter(srv.address)  # waits in the backlog
+            late.emit(2)
+            reset(resetter)
+            sent = emitter.emit(3)
+            assert {srv.get(timeout=2.0).faces for _ in range(2)} == {2, 3}
+            assert sent.seq == 2
+            assert (srv.malformed_count, srv.dropped_count) == (0, 0)
+        finally:
+            for client in (resetter, emitter, late):
+                if client is not None:
+                    client.close()
+            srv.stop()
+
     def test_restarted_server_accepts_again(self, server):
         server.stop()
         server.start()
@@ -433,6 +469,21 @@ class TestLiveness:
 
 
 class TestEmitter:
+    def test_failed_send_raises_transport_error_and_gives_back_its_seq(self, server):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            emitter = eb.Emitter(listener.getsockname())
+            conn, _ = listener.accept()
+            reset(conn)
+        with emitter:
+            select.select([emitter._sock], [], [], 2.0)  # the reset has arrived
+            with pytest.raises(eb.TransportError):
+                emitter.emit(1)
+            # the event that was not sent gives its seq to the next one
+            emitter._sock.close()
+            emitter._sock = socket.create_connection(server.address, timeout=2.0)
+            assert emitter.emit(2).seq == 1
+        assert server.get(timeout=2.0).seq == 1
+
     def test_connect_to_closed_port_raises_transport_error(self):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
