@@ -119,6 +119,7 @@ class EventServer:
         # last newline; last_seq, the last one queued; last_read, when the
         # peer last sent something (or connected)
         self._peers: dict[socket.socket, types.SimpleNamespace] = {}
+        self._listening = False  # whether the selector watches the listener
 
     @property
     def address(self) -> tuple[str, int]:
@@ -142,16 +143,18 @@ class EventServer:
         self._sock.close()
         self._selector.close()
         self._selector = None
+        self._listening = False
 
     def _watch_listener(self, accept_failed: bool = False):
         """Watch the listener or not, by the rule in the class docstring; run
         wherever its inputs change: start, an accept, a close, an idle slice."""
         watch = len(self._peers) < MAX_CONNECTIONS and not accept_failed
-        if watch != (self._sock in self._selector.get_map()):
+        if watch != self._listening:
             if watch:
                 self._selector.register(self._sock, selectors.EVENT_READ)
             else:
                 self._selector.unregister(self._sock)
+            self._listening = watch
 
     def _poll(self, wait: float) -> bool:
         """One select() of up to `wait` seconds; accepts or reads whatever is

@@ -491,6 +491,12 @@ def _edited(path, value):
     pytest.param(_edited(["timing_us", "APU", "1"], 1.0), id="size-one"),
     pytest.param(_edited(["timing_us", "GPU"], {"8": 1.0}), id="unknown-domain"),
     pytest.param(_edited(["timing_us", "APU"], [0.28]), id="domain-not-an-object"),
+    # numbers over MAX_FIELD: a row total of 2e308 is inf, and so is the
+    # largest float after upward jitter
+    pytest.param(_edited(["power_mw", "APU", "8"], [1e308, 1e308, 0]), id="row-total-overflows"),
+    pytest.param(_edited(["timing_us", "APU", "8"], sys.float_info.max), id="time-at-float-max"),
+    pytest.param(_edited(["power_mw", "PL", "2048"], [0, MAX_FIELD + 1, 0]),
+                 id="power-over-max-field"),
     # static rail power lives in the power rows alone, so this section is refused
     # whatever it holds
     pytest.param(_edited(["static_mw"], {"APU": 2024, "PL": 1187}), id="static-section"),
@@ -515,23 +521,6 @@ def _strict_records(path) -> list:
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
     return [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
-
-
-# a row total of 2e308 and an APU time that jitter can take past the float range
-@pytest.mark.parametrize("path, value, flags", [
-    pytest.param(["power_mw", "APU", "8"], [1e308, 1e308, 0], [], id="row-total-overflows"),
-    pytest.param(["timing_us", "APU", "8"], sys.float_info.max, ["--jitter", "0.5"],
-                 id="jittered-time-overflows"),
-    pytest.param(["power_mw", "APU", "8"], [MAX_FIELD + 1, 0, 0], [], id="one-over-the-bound"),
-])
-def test_profile_number_over_max_field_is_config_error(tmp_path, path, value, flags):
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps(_edited(path, value)))
-    telemetry = tmp_path / "telemetry.jsonl"
-    code, out = run_cli(["run", "--profile", str(profile), *flags,
-                         "--telemetry-file", str(telemetry)])
-    assert code == cli.EXIT_CONFIG_ERROR
-    assert out == "" and not telemetry.exists()
 
 
 def test_profile_numbers_at_max_field_give_parseable_telemetry(tmp_path):
@@ -660,18 +649,6 @@ def test_any_trace_file_loads_or_is_config_error(tmp_path, text):
     assert run_cli(["run", "--trace", str(path)])[0] == expected
 
 
-@hostile
-@given(profile=profiles)
-def test_any_profile_loads_or_is_config_error(tmp_path, profile):
-    _run_profile(tmp_path, profile)
-
-
-@hostile
-@given(leaf=st.sampled_from(_PROFILE_LEAVES), value=bounds | numbers)
-def test_any_number_of_the_full_profile_loads_or_is_config_error(tmp_path, leaf, value):
-    _run_profile(tmp_path, _edited(leaf, value))
-
-
 def _run_profile(tmp_path, profile):
     """Run the demo trace on `profile` with jitter: it exits 0 with telemetry
     that is JSON and has finite rows, or exits 2."""
@@ -684,6 +661,18 @@ def _run_profile(tmp_path, profile):
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
     if code == cli.EXIT_OK:
         assert all(math.isfinite(record["total_mw"]) for record in _strict_records(telemetry))
+
+
+@hostile
+@given(profile=profiles)
+def test_any_profile_loads_or_is_config_error(tmp_path, profile):
+    _run_profile(tmp_path, profile)
+
+
+@hostile
+@given(leaf=st.sampled_from(_PROFILE_LEAVES), value=bounds | numbers)
+def test_any_number_of_the_full_profile_loads_or_is_config_error(tmp_path, leaf, value):
+    _run_profile(tmp_path, _edited(leaf, value))
 
 
 @hostile

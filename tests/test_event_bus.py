@@ -281,10 +281,8 @@ def _served(chunks):
     """The events `EventServer._read` queues and the malformed lines it counts
     when one connection delivers `chunks`."""
     server = eb.EventServer()
-    # a selector that watches the listener already, so that closing the
-    # connection only unregisters it
-    server._selector = types.SimpleNamespace(get_map=lambda: {server._sock: None},
-                                             unregister=lambda conn: None)
+    server._selector = types.SimpleNamespace(unregister=lambda conn: None)
+    server._listening = True  # so closing the connection registers nothing
     peer = types.SimpleNamespace(addr=None, tail=b"", last_seq=None)
     conn = _ChunkedConnection(chunks)
     server._peers[conn] = peer
