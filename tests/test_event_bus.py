@@ -448,9 +448,8 @@ class TestLiveness:
             late = eb.Emitter(srv.address)  # waits in the backlog
             late.emit(2)
             reset(resetter)
-            sent = emitter.emit(3)
+            emitter.emit(3)
             assert {srv.get(timeout=2.0).faces for _ in range(2)} == {2, 3}
-            assert sent.seq == 2
             assert (srv.malformed_count, srv.dropped_count) == (0, 0)
         finally:
             for client in (resetter, emitter, late):
