@@ -15,10 +15,16 @@ size overwrites it.  Small blocks are copied out of a pool of pre-shifted
 draws that the controller refills `POOL_SIZE` at a time; a larger block
 draws the rest of its values right after the pool's unread raw draws and
 shifts them all in one call, so the random stream is read in the same order
-either way.  Nothing outlives a block: `fft_float` returns a fresh array and
+either way.  Nothing outlives a block: each FFT writes a fresh array and
 `quantize` scales into a new one, so reports hold no view of it.  The
 per-event records, `FaceEvent` and `ExecutionReport`, are immutable named
 tuples.
+
+The controller checks its input values where it makes them, not in every
+FFT call: a size once, when its input buffer is made, and each draw once, at
+the pool's refill or, for a large block's fresh draws, right after they are
+drawn, with `fft_float`'s checks and errors.  So every value of every block
+is finite before its FFT, and both FFTs call `fft_engines.transform` directly.
 """
 
 from __future__ import annotations
@@ -188,6 +194,7 @@ class Controller:
         if block is None:
             x = self._inputs.get(n)
             if x is None:
+                fft_engines.check_size(n)
                 x = self._inputs[n] = np.empty(n, dtype=np.complex128)
             parts = x.view(np.float64).reshape(n, 2).T
             at = 0 if start == POOL_SIZE else start  # an empty pool is refilled
@@ -203,21 +210,23 @@ class Controller:
             if start == POOL_SIZE:
                 self._rng.random(out=self._draws[:POOL_SIZE])
                 np.subtract(self._draws[:POOL_SIZE], 0.5, out=self._pool)
+                fft_engines.check_finite(self._pool)
                 start = 0
             parts[...] = source
             self._pooled = start + 2 * n
         else:  # the pool's unread draws, if any, then fresh ones
             self._rng.random(out=fresh)
+            fft_engines.check_finite(fresh)  # the pool's were checked at its refill
             np.subtract(source, 0.5, out=parts)
             self._pooled = POOL_SIZE
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
-            reference = fft_engines.fft_float(x)
+            reference = fft_engines.transform(x, np.empty(n, np.complex128))
             scaled = fft_engines.dequantize(fixed_out) * n
             error = fft_engines.mse(reference, scaled)
         else:
-            fft_engines.fft_float(x)
+            fft_engines.transform(x, np.empty(n, np.complex128))
         exec_time = self.timing.sample_exec_time(state.domain, n)
         return ExecutionReport(event, state, action, exec_time, error)
 

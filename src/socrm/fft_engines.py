@@ -1,12 +1,15 @@
 """Both FFT execution domains of the simulated device.
 
 The software ("APU") path runs a library FFT in double precision, as the
-device's APU runs FFTW.  `fft_float` validates its input and then calls the
-pocketfft gufunc that `numpy.fft.fft` itself ends in
-(`numpy.fft._pocketfft_umath.fft`, NumPy >= 2), with the same arguments, so
-its output is bit-identical to `numpy.fft.fft` without that function's
-per-call argument handling; on NumPy 1.x, which has no such gufunc, it calls
-`numpy.fft.fft` (`float_entry` names the one in use).
+device's APU runs FFTW.  `transform` is its one transform call: the pocketfft
+gufunc that `numpy.fft.fft` itself ends in (`numpy.fft._pocketfft_umath.fft`,
+NumPy >= 2), with the same arguments, so its output is bit-identical to
+`numpy.fft.fft` without that function's per-call argument handling; on NumPy
+1.x, which has no such gufunc, it calls `numpy.fft.fft` (`float_entry` names
+the one in use).  `transform` checks nothing: `fft_float` checks an arbitrary
+caller's block (`check_size`, shape, `check_finite`) and then calls it, and
+the controller, which makes every block itself, runs the same checks where it
+makes the values (see `controller`).
 
 The hardware ("PL") path is a numerical emulation of a 16-bit fixed-point
 streaming FFT core: Q1.15 samples, radix-2 decimation-in-time, per-stage
@@ -49,7 +52,8 @@ Q15_MAX = (1 << 15) - 1
 logger = logging.getLogger(__name__)
 
 
-def _check_size(points):
+def check_size(points):
+    """Raise `ValueError` unless `points` is a power of two >= 2."""
     if not isinstance(points, (int, np.integer)) or points < 2 or points & (points - 1):
         raise ValueError(f"FFT size must be a power of two >= 2, got {points!r}")
 
@@ -81,7 +85,7 @@ class FftPlan:
 @functools.cache
 def get_plan(points: int) -> FftPlan:
     """The one plan of each size; an invalid size raises and is not cached."""
-    _check_size(points)
+    check_size(points)
     k = np.arange(points // 2)
     tw = np.exp(-2j * np.pi * k / points)
     tw_re = np.clip(np.round(tw.real * Q15_SCALE), Q15_MIN, Q15_MAX).astype(np.int64)
@@ -89,41 +93,59 @@ def get_plan(points: int) -> FftPlan:
     return FftPlan(points, _bit_reverse_permutation(points), tw_re, tw_im)
 
 
+def check_finite(a: np.ndarray) -> None:
+    """Raise `ValueError` if any value of `a` is NaN or Inf.
+
+    A complex value is finite when both its parts are, and `a` may be strided.
+    """
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError("input contains NaN or Inf")
+
+
 def _as_complex_block(x, points: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1 or len(a) != points:
         raise ValueError(f"expected {points} samples, got shape {a.shape}")
-    # complex isfinite is false when either part is NaN or Inf, and unlike a
-    # float64 view it accepts strided input
-    if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise ValueError("input contains NaN or Inf")
+    check_finite(a)
     return a
+
+
+def transform(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT of `a` into `out`, which it returns.
+
+    Checks nothing: `a` is a 1-D complex128 block of finite values whose
+    length is a power of two >= 2, and `out` a complex128 array of that
+    length that does not overlap it.  Bit-identical to `numpy.fft.fft(a)`:
+    it is the same gufunc call, with the scale factor 1.
+    """
+    if _pocketfft_fft is None:
+        out[...] = np.fft.fft(a)
+        return out
+    return _pocketfft_fft(a, 1, out=out)
 
 
 def fft_float(x) -> np.ndarray:
     """Unnormalized forward DFT, natural-order output, double precision.
 
-    The transform size is the block's length, a power of two >= 2.
-    Bit-identical to `numpy.fft.fft` on the validated block: it is the same
-    gufunc call, with the scale factor 1 and a fresh output array.
+    The transform size is the block's length, a power of two >= 2, and every
+    value must be finite.  Checks the block and returns `transform` of it
+    into a fresh array.
     """
     points = len(x)
-    _check_size(points)
+    check_size(points)
     a = _as_complex_block(x, points)
-    if _pocketfft_fft is None:
-        return np.fft.fft(a)
-    return _pocketfft_fft(a, 1, out=np.empty(points, np.complex128))
+    return transform(a, np.empty(points, np.complex128))
 
 
 def float_entry() -> str:
-    """The call `fft_float` ends in: the pocketfft gufunc or `numpy.fft.fft`."""
+    """The call `transform` ends in: the pocketfft gufunc or `numpy.fft.fft`."""
     return "numpy.fft.fft" if _pocketfft_fft is None else "pocketfft gufunc"
 
 
 def ifft_float(x) -> np.ndarray:
     """Inverse DFT with 1/N normalization; inverts fft_float."""
     points = len(x)
-    _check_size(points)
+    check_size(points)
     return np.fft.ifft(_as_complex_block(x, points))
 
 

@@ -3,8 +3,9 @@
 Each check returns (name, passed, detail); `run_checks` executes all of
 them deterministically.  `check_q15_kernel` names the stage loop `fft_fixed`
 runs and, when it is the compiled one, compares it bit for bit with the NumPy
-loop; `check_fft_float_entry` names the call `fft_float` ends in and compares
-it bit for bit with `numpy.fft.fft`.
+loop; `check_fft_float_entry` names the call `transform` ends in and compares
+both `fft_float` and `transform`, the call a run makes, bit for bit with
+`numpy.fft.fft`.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ def check_fft_float_entry():
     identical = 0
     for n in sizes:
         x = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        identical += np.array_equal(fft_engines.fft_float(x).view(np.uint64),
-                                    np.fft.fft(x).view(np.uint64))
+        expected = np.fft.fft(x).view(np.uint64)
+        out = np.empty(n, np.complex128)
+        identical += (np.array_equal(fft_engines.fft_float(x).view(np.uint64), expected)
+                      and fft_engines.transform(x, out) is out
+                      and np.array_equal(out.view(np.uint64), expected))
     return ("fft-float-entry", identical == len(sizes),
             f"{fft_engines.float_entry()}: {identical}/{len(sizes)} sizes "
-            f"(N={', '.join(map(str, sizes))}) bit-identical to numpy.fft.fft")
+            f"(N={', '.join(map(str, sizes))}) bit-identical to numpy.fft.fft "
+            "through fft_float and through transform into its out array")
 
 
 def check_fixed_point_bound():

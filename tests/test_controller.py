@@ -214,13 +214,13 @@ class TestInputBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 3, 606, 2 ** 31 - 1])
     def test_blocks_and_mse_match_two_uniform_draws(self, seed, monkeypatch):
         blocks = []
-        fft_float = fft_engines.fft_float
+        transform = fft_engines.transform
 
-        def recording(x):
+        def recording(x, out):
             blocks.append(x.copy())
-            return fft_float(x)
+            return transform(x, out)
 
-        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        monkeypatch.setattr(fft_engines, "transform", recording)
         c = ctl.Controller(seed=seed)
         reports = [c.process_event(event)[2] for event in make_events(self.FACES)]
         monkeypatch.undo()
@@ -253,14 +253,14 @@ class TestInputBlocks:
         """Each event's input block and the pool's read position before it."""
         c = ctl.Controller(seed=seed)
         blocks, before = [], []
-        fft_float = fft_engines.fft_float
+        transform = fft_engines.transform
 
-        def recording(x):
+        def recording(x, out):
             blocks.append(x.copy())
-            return fft_float(x)
+            return transform(x, out)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fft_engines, "fft_float", recording)
+            patch.setattr(fft_engines, "transform", recording)
             for event in make_events(faces):
                 before.append(c._pooled)
                 c.process_event(event)
@@ -319,13 +319,13 @@ class TestInputBuffers:
 
         expected = solo(5), solo(6)
         blocks = []
-        fft_float = fft_engines.fft_float
+        transform = fft_engines.transform
 
-        def recording(x):
+        def recording(x, out):
             blocks.append(x)
-            return fft_float(x)
+            return transform(x, out)
 
-        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        monkeypatch.setattr(fft_engines, "transform", recording)
         a, b = ctl.Controller(seed=5), ctl.Controller(seed=6)
         got = [], []
         for event in make_events(self.FACES):
@@ -337,14 +337,14 @@ class TestInputBuffers:
 
     def test_results_are_not_overwritten_by_later_events(self, monkeypatch):
         outputs = []
-        fft_float = fft_engines.fft_float
+        transform = fft_engines.transform
 
-        def recording(x):
-            out = fft_float(x)
+        def recording(x, out):
+            out = transform(x, out)
             outputs.append((out, out.copy()))
             return out
 
-        monkeypatch.setattr(fft_engines, "fft_float", recording)
+        monkeypatch.setattr(fft_engines, "transform", recording)
         c = ctl.Controller(seed=0)
         _, _, first_pl = c.process_event(FaceEvent(2, 1, 0))
         for event in make_events(self.FACES * 3):
@@ -353,6 +353,42 @@ class TestInputBuffers:
         assert len(outputs) > 1
         for out, copy in outputs:
             assert np.array_equal(out, copy)
+
+
+class TestInputChecks:
+    """The controller checks each draw once, where it is made: the pool's at
+    its refill and a large block's fresh draws as they are drawn.  Its FFT
+    call checks nothing, so a generator that yields NaN or Inf must still
+    fail the event with `fft_float`'s error."""
+
+    class Generator:
+        """PCG64 draws, except that draw call `bad` starts with `value`."""
+
+        def __init__(self, bad, value):
+            self._rng = np.random.default_rng(0)
+            self.calls = 0
+            self.bad, self.value = bad, value
+
+        def random(self, out):
+            self._rng.random(out=out)
+            if self.calls == self.bad:
+                out[0] = self.value
+            self.calls += 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("faces, bad", [
+        ([0], 0),  # an APU 8 block copied out of the pool its call refills
+        ([1], 0),  # an APU 1024 block of fresh draws alone
+        ([0, 0, 0, 1], 1),  # an APU 1024 block: the pool's remainder, then fresh draws
+    ])
+    def test_non_finite_draws_fail_the_event(self, faces, bad, value):
+        c = ctl.Controller(seed=0)
+        c._rng = self.Generator(bad, value)
+        *before, last = make_events(faces)
+        for event in before:
+            c.process_event(event)
+        with pytest.raises(ValueError, match="^input contains NaN or Inf$"):
+            c.process_event(last)
 
 
 class TestRecords:

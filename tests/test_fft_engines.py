@@ -102,7 +102,8 @@ def as_bits(a):
 
 
 class TestFftFloatEntry:
-    """`fft_float` is bit-identical to `np.fft.fft` on both dispatch paths."""
+    """`fft_float` and `transform` are bit-identical to `np.fft.fft` on both
+    dispatch paths."""
 
     @pytest.fixture(params=["pocketfft gufunc", "numpy.fft.fft"])
     def entry(self, request, monkeypatch):
@@ -126,6 +127,14 @@ class TestFftFloatEntry:
         strided = random_block(rng, 3 * n)[::3]
         assert np.array_equal(as_bits(fe.fft_float(strided)),
                               as_bits(np.fft.fft(np.ascontiguousarray(strided))))
+
+    @pytest.mark.parametrize("n", ALL_SIZES)
+    def test_transform_fills_and_returns_out(self, entry, n):
+        x = random_block(np.random.default_rng(n + 7), n)
+        out = np.empty(n, np.complex128)
+        assert fe.transform(x, out) is out
+        assert np.array_equal(as_bits(out), as_bits(fe.fft_float(x)))
+        assert np.array_equal(as_bits(out), as_bits(np.fft.fft(x)))
 
     def test_returns_a_fresh_array(self, entry):
         x = random_block(np.random.default_rng(18), 8)
