@@ -15,7 +15,7 @@ size overwrites it.  Small blocks are copied out of a pool of pre-shifted
 draws that the controller refills `POOL_SIZE` at a time; a larger block
 draws the rest of its values right after the pool's unread raw draws and
 shifts them all in one call, so the random stream is read in the same order
-either way.  Nothing outlives a block: each FFT writes a fresh array and
+either way.  Nothing outlives a block: each FFT returns a fresh array and
 `quantize` scales into a new one, so reports hold no view of it.  The
 per-event records, `FaceEvent` and `ExecutionReport`, are immutable named
 tuples.
@@ -222,11 +222,11 @@ class Controller:
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
-            reference = fft_engines.transform(x, np.empty(n, np.complex128))
+            reference = fft_engines.transform(x)
             scaled = fft_engines.dequantize(fixed_out) * n
             error = fft_engines.mse(reference, scaled)
         else:
-            fft_engines.transform(x, np.empty(n, np.complex128))
+            fft_engines.transform(x)
         exec_time = self.timing.sample_exec_time(state.domain, n)
         return ExecutionReport(event, state, action, exec_time, error)
 

@@ -6,10 +6,8 @@ gufunc that `numpy.fft.fft` itself ends in (`numpy.fft._pocketfft_umath.fft`,
 NumPy >= 2), with the same arguments, so its output is bit-identical to
 `numpy.fft.fft` without that function's per-call argument handling; on NumPy
 1.x, which has no such gufunc, it calls `numpy.fft.fft` (`float_entry` names
-the one in use).  `transform` checks nothing: `fft_float` checks an arbitrary
-caller's block (`check_size`, shape, `check_finite`) and then calls it, and
-the controller, which makes every block itself, runs the same checks where it
-makes the values (see `controller`).
+the one in use).  `fft_float` checks its block and then calls `transform`,
+which checks nothing.
 
 The hardware ("PL") path is a numerical emulation of a 16-bit fixed-point
 streaming FFT core: Q1.15 samples, radix-2 decimation-in-time, per-stage
@@ -110,31 +108,27 @@ def _as_complex_block(x, points: int) -> np.ndarray:
     return a
 
 
-def transform(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT of `a` into `out`, which it returns.
+def transform(a: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT of `a` into a fresh array.
 
-    Checks nothing: `a` is a 1-D complex128 block of finite values whose
-    length is a power of two >= 2, and `out` a complex128 array of that
-    length that does not overlap it.  Bit-identical to `numpy.fft.fft(a)`:
-    it is the same gufunc call, with the scale factor 1.
+    Checks nothing: the caller guarantees that `a` is a 1-D complex128 block
+    of finite values whose length is a power of two >= 2.  Bit-identical to
+    `numpy.fft.fft(a)`: it is the same gufunc call, with the scale factor 1.
     """
     if _pocketfft_fft is None:
-        out[...] = np.fft.fft(a)
-        return out
-    return _pocketfft_fft(a, 1, out=out)
+        return np.fft.fft(a)
+    return _pocketfft_fft(a, 1, out=np.empty(len(a), np.complex128))
 
 
 def fft_float(x) -> np.ndarray:
     """Unnormalized forward DFT, natural-order output, double precision.
 
     The transform size is the block's length, a power of two >= 2, and every
-    value must be finite.  Checks the block and returns `transform` of it
-    into a fresh array.
+    value must be finite.  Checks the block and returns `transform` of it.
     """
     points = len(x)
     check_size(points)
-    a = _as_complex_block(x, points)
-    return transform(a, np.empty(points, np.complex128))
+    return transform(_as_complex_block(x, points))
 
 
 def float_entry() -> str:

@@ -64,14 +64,12 @@ def check_fft_float_entry():
     for n in sizes:
         x = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
         expected = np.fft.fft(x).view(np.uint64)
-        out = np.empty(n, np.complex128)
         identical += (np.array_equal(fft_engines.fft_float(x).view(np.uint64), expected)
-                      and fft_engines.transform(x, out) is out
-                      and np.array_equal(out.view(np.uint64), expected))
+                      and np.array_equal(fft_engines.transform(x).view(np.uint64), expected))
     return ("fft-float-entry", identical == len(sizes),
             f"{fft_engines.float_entry()}: {identical}/{len(sizes)} sizes "
             f"(N={', '.join(map(str, sizes))}) bit-identical to numpy.fft.fft "
-            "through fft_float and through transform into its out array")
+            "through fft_float and through transform")
 
 
 def check_fixed_point_bound():

@@ -216,9 +216,9 @@ class TestInputBlocks:
         blocks = []
         transform = fft_engines.transform
 
-        def recording(x, out):
+        def recording(x):
             blocks.append(x.copy())
-            return transform(x, out)
+            return transform(x)
 
         monkeypatch.setattr(fft_engines, "transform", recording)
         c = ctl.Controller(seed=seed)
@@ -255,9 +255,9 @@ class TestInputBlocks:
         blocks, before = [], []
         transform = fft_engines.transform
 
-        def recording(x, out):
+        def recording(x):
             blocks.append(x.copy())
-            return transform(x, out)
+            return transform(x)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fft_engines, "transform", recording)
@@ -321,9 +321,9 @@ class TestInputBuffers:
         blocks = []
         transform = fft_engines.transform
 
-        def recording(x, out):
+        def recording(x):
             blocks.append(x)
-            return transform(x, out)
+            return transform(x)
 
         monkeypatch.setattr(fft_engines, "transform", recording)
         a, b = ctl.Controller(seed=5), ctl.Controller(seed=6)
@@ -339,8 +339,8 @@ class TestInputBuffers:
         outputs = []
         transform = fft_engines.transform
 
-        def recording(x, out):
-            out = transform(x, out)
+        def recording(x):
+            out = transform(x)
             outputs.append((out, out.copy()))
             return out
 
