@@ -11,20 +11,18 @@ and the run summary look it up in the `PowerModel`.
 
 Each controller keeps one input buffer per transform size and fills every
 input block into it, so a block lives only until the next event of the same
-size overwrites it.  Small blocks are copied out of a pool of pre-shifted
-draws that the controller refills `POOL_SIZE` at a time; a larger block
-draws the rest of its values right after the pool's unread raw draws and
-shifts them all in one call, so the random stream is read in the same order
-either way.  Nothing outlives a block: each FFT returns a fresh array and
-`quantize` scales into a new one, so reports hold no view of it.  The
-per-event records, `FaceEvent` and `ExecutionReport`, are immutable named
-tuples.
+size overwrites it.  Every block is copied out of one pool of draws, each
+minus 0.5, that holds the random stream's unread draws; a block the pool
+cannot hold draws the rest right after them, so the stream is read in order.
+Nothing outlives a block: each FFT returns a fresh array and `quantize`
+scales into a new one, so reports hold no view of it.  The per-event
+records, `FaceEvent` and `ExecutionReport`, are immutable named tuples.
 
 The controller checks its input values where it makes them, not in every
-FFT call: a size once, when its input buffer is made, and each draw once, at
-the pool's refill or, for a large block's fresh draws, right after they are
-drawn, with `fft_float`'s checks and errors.  So every value of every block
-is finite before its FFT, and both FFTs call `fft_engines.transform` directly.
+FFT call: a size once, when its input buffer is made, and each draw once,
+right after it is drawn, with `fft_float`'s checks and errors.  So every
+value of every block is finite before its FFT, and both FFTs call
+`fft_engines.transform` directly.
 """
 
 from __future__ import annotations
@@ -57,10 +55,8 @@ RULES = {0: (APU, 8), 1: (APU, 1024), 2: (PL, 2048), 3: (PL, 4096)}
 INITIAL_CONFIG = RULES[0]  # boot in the zero-faces configuration
 _LAST_RULE = max(RULES)
 
-# doubles in a controller's pool of input draws (8 KiB).  Blocks of fewer
-# than POOL_SIZE / 2 points (up to 256) are copied out of the pool; larger
-# ones are shifted by the subtract ufunc, which beats a strided copy from 512
-# points up.
+# draws a controller refills its pool with (8 KiB), when a block of at most
+# POOL_SIZE / 2 points finds it empty
 POOL_SIZE = 1024
 _MAX_POINTS = max(points for _, points in RULES.values())
 
@@ -157,16 +153,15 @@ class Controller:
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
-        # raw draws: the pool's, then room for the rest of the largest block
-        self._draws = np.empty(POOL_SIZE + 2 * _MAX_POINTS)
-        # the next POOL_SIZE - _pooled draws of the stream, each minus 0.5
-        self._pool = np.empty(POOL_SIZE)
+        # the stream's unread draws, each minus 0.5, at _pool[_pooled:POOL_SIZE]
+        # (none when _pooled == POOL_SIZE), then room for the rest of the
+        # largest block
+        self._pool = np.empty(POOL_SIZE + 2 * _MAX_POINTS)
         self._pooled = POOL_SIZE
         self._inputs: dict[int, np.ndarray] = {}
-        # (points, pool read position) -> (x, parts, source, fresh): the
-        # views one block reads and writes, fresh None for a copy out of
-        # the pool
-        self._blocks: dict[tuple[int, int], tuple[np.ndarray | None, ...]] = {}
+        # (points, _pooled) -> the views that block reads and writes, the
+        # slice to draw into first (None for a copy) and the next _pooled
+        self._blocks: dict[tuple[int, int], tuple] = {}
 
     def process_event(self, event: FaceEvent):
         """decide -> plan -> apply, then execute one FFT of the new config."""
@@ -182,43 +177,20 @@ class Controller:
         # synthetic stand-in for the DDR-played-back input signal, bit-identical
         # to uniform(-0.5, 0.5, n) + 1j * uniform(-0.5, 0.5, n), which computes
         # -0.5 + 1.0 * u and reads the stream in the same order: the first n
-        # draws are the real parts and the next n the imaginary parts, and
-        # `parts` views x's real parts as row 0 and its imaginary parts as
-        # row 1.  The pool holds each draw u as u - 0.5, which is exact for
-        # every u = k * 2^-53 in [0, 1), and _draws[:POOL_SIZE] keeps the raw
-        # u, so a block that does not fit in what is left of the pool draws
-        # the rest right after it and one subtract shifts them all.  The
-        # block is overwritten at the next event of this size.
+        # draws are the real parts and the next n the imaginary parts.  u - 0.5
+        # is exact for every u = k * 2^-53 in [0, 1).
         start = self._pooled
         block = self._blocks.get((n, start))
         if block is None:
-            x = self._inputs.get(n)
-            if x is None:
-                fft_engines.check_size(n)
-                x = self._inputs[n] = np.empty(n, dtype=np.complex128)
-            parts = x.view(np.float64).reshape(n, 2).T
-            at = 0 if start == POOL_SIZE else start  # an empty pool is refilled
-            if 2 * n < POOL_SIZE and at + 2 * n <= POOL_SIZE:
-                block = (x, parts, self._pool[at:at + 2 * n].reshape(2, n), None)
-            else:
-                end = start + 2 * n
-                block = (x, parts, self._draws[start:end].reshape(2, n),
-                         self._draws[POOL_SIZE:end])
-            self._blocks[n, start] = block
-        x, parts, source, fresh = block
-        if fresh is None:  # a copy out of the pool
-            if start == POOL_SIZE:
-                self._rng.random(out=self._draws[:POOL_SIZE])
-                np.subtract(self._draws[:POOL_SIZE], 0.5, out=self._pool)
-                fft_engines.check_finite(self._pool)
-                start = 0
-            parts[...] = source
-            self._pooled = start + 2 * n
-        else:  # the pool's unread draws, if any, then fresh ones
+            block = self._blocks[n, start] = self._block(n, start)
+        x, real, imag, re, im, fresh, pooled = block
+        if fresh is not None:
             self._rng.random(out=fresh)
-            fft_engines.check_finite(fresh)  # the pool's were checked at its refill
-            np.subtract(source, 0.5, out=parts)
-            self._pooled = POOL_SIZE
+            fft_engines.check_finite(fresh)
+            np.subtract(fresh, 0.5, out=fresh)
+        real[...] = re
+        imag[...] = im
+        self._pooled = pooled
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
@@ -230,3 +202,17 @@ class Controller:
         exec_time = self.timing.sample_exec_time(state.domain, n)
         return ExecutionReport(event, state, action, exec_time, error)
 
+    def _block(self, n: int, start: int) -> tuple:
+        x = self._inputs.get(n)
+        if x is None:
+            fft_engines.check_size(n)
+            x = self._inputs[n] = np.empty(n, dtype=np.complex128)
+        need = 2 * n
+        if start + need <= POOL_SIZE:  # the unread draws hold the block
+            at, fresh, pooled = start, None, start + need
+        elif start == POOL_SIZE and need <= POOL_SIZE:  # refill the empty pool
+            at, fresh, pooled = 0, self._pool[:POOL_SIZE], need
+        else:  # the unread draws, then fresh ones right after them
+            at, fresh, pooled = start, self._pool[POOL_SIZE:start + need], POOL_SIZE
+        source = self._pool[at:at + need]
+        return x, x.real, x.imag, source[:n], source[n:], fresh, pooled

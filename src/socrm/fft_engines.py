@@ -161,8 +161,7 @@ def quantize(x) -> FixedBlock:
     """
     a = np.ascontiguousarray(x, dtype=np.complex128)
     flat = a.view(np.float64)  # re, im interleaved
-    if np.count_nonzero(np.isfinite(flat)) != flat.size:
-        raise ValueError("input contains NaN or Inf")
+    check_finite(flat)
     # round half away from zero (np.round would round half to even)
     scaled = flat * Q15_SCALE
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
