@@ -190,6 +190,7 @@ class Controller:
             np.subtract(fresh, 0.5, out=fresh)
         real[...] = re
         imag[...] = im
+        # advanced only now, so draws that failed the check are never read
         self._pooled = pooled
         error = None
         if state.domain == PL:
