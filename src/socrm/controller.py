@@ -9,6 +9,17 @@ returns an execution report with modeled timing and, on PL, the MSE
 against the floating-point reference.  Reports carry no power: telemetry
 and the run summary look it up in the `PowerModel`.
 
+`RULES` and `decide` are the one statement of the face-count rule and
+`plan_action` of the action between two configurations.  A `Controller`
+applies them once, at construction: it builds one row per configuration,
+from its `mechanism`, that maps each face count `RULES` has a key for to
+the action toward that count's target.  An event then costs one lookup in
+the current row; only an action that is not a NoOp is applied, and it
+switches to its target's row.  A count the rows have no key for, above the
+last rule or negative, goes through `decide` and `plan_action`, so a
+negative count raises `decide`'s ValueError before any state changes or
+any value is drawn.
+
 Each controller keeps one input buffer per transform size and fills every
 input block into it, so a block lives only until the next event of the same
 size overwrites it.  Every block is copied out of one pool of draws, each
@@ -145,6 +156,11 @@ class Controller:
 
     Events must be fed one at a time (serialize through a FIFO upstream);
     reports are immutable snapshots safe to hand to other threads.
+
+    `_rows` holds its transitions, one row per configuration built here from
+    `mechanism` (see the module docstring), and `_row` is the current
+    configuration's.  Each entry is the very action `plan_action` returns.
+    Setting `mechanism` later does not rebuild the rows.
     """
 
     def __init__(self, timing: TimingModel | None = None,
@@ -153,6 +169,12 @@ class Controller:
         self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
+        self._rows = {
+            config: {faces: plan_action(FunctionState(*config, generation=0),
+                                        decide(faces), mechanism)
+                     for faces in RULES}
+            for config in RULES.values()}
+        self._row = self._rows[self._state.config]
         # the stream's unread draws, each minus 0.5, at _pool[_pooled:POOL_SIZE]
         # (none when _pooled == POOL_SIZE), then room for the rest of the
         # largest block
@@ -164,10 +186,14 @@ class Controller:
         self._blocks: dict[tuple[int, int], tuple] = {}
 
     def process_event(self, event: FaceEvent):
-        """decide -> plan -> apply, then execute one FFT of the new config."""
-        target = decide(event.faces)
-        action = plan_action(self._state, target, self.mechanism)
-        self._state = apply_action(self._state, action)
+        """Look the action up in the current row, apply it unless it is a
+        NoOp, then execute one FFT of the new config."""
+        action = self._row.get(event.faces)
+        if action is None:  # above the last rule, or negative: decide raises
+            action = plan_action(self._state, decide(event.faces), self.mechanism)
+        if action.kind != NO_OP:
+            self._state = apply_action(self._state, action)
+            self._row = self._rows[action.to_config]
         report = self._execute(event, action)
         return self._state, action, report
 

@@ -5,7 +5,8 @@ them deterministically.  `check_q15_kernel` names the stage loop `fft_fixed`
 runs and, when it is the compiled one, compares it bit for bit with the NumPy
 loop; `check_fft_float_entry` names the call `transform` ends in and compares
 both `fft_float` and `transform`, the call a run makes, bit for bit with
-`numpy.fft.fft`.
+`numpy.fft.fft`; `check_rule_map` also compares every row of a fresh
+`Controller`, under both mechanisms, with `plan_action`.
 """
 
 from __future__ import annotations
@@ -114,15 +115,36 @@ def check_q15_kernel():
             "bit-identical to the NumPy loop")
 
 
+def rows_match_plan_action(mechanism):
+    """A fresh controller has one row per configuration.  For every count
+    0-63 that `RULES` has a key for, the row holds the very action
+    `plan_action` returns; it holds no other count, since `process_event`
+    sends those through `decide`."""
+    rows = controller.Controller(mechanism=mechanism)._rows
+    if set(rows) != set(controller.RULES.values()):
+        return False
+    for config, row in rows.items():
+        state = controller.FunctionState(*config, generation=0)
+        for faces in range(0, 64):
+            planned = controller.plan_action(state, controller.decide(faces), mechanism)
+            if faces in controller.RULES:
+                if row.get(faces) is not planned:
+                    return False
+            elif faces in row:
+                return False
+    return True
+
+
 def check_rule_map():
     configs = [controller.decide(f) for f in range(0, 64)]
     points = [p for _, p in configs]
     total = all(c in set(controller.RULES.values()) for c in configs)
     monotone = all(a <= b for a, b in zip(points, points[1:]))
     saturates = all(c == controller.RULES[3] for c in configs[3:])
-    ok = total and monotone and saturates
+    rows = all(rows_match_plan_action(m) for m in controller.MECHANISMS)
+    ok = total and monotone and saturates and rows
     return ("rule-map-totality-monotonicity", ok,
-            f"total={total} monotone={monotone} saturates={saturates}")
+            f"total={total} monotone={monotone} saturates={saturates} rows={rows}")
 
 
 def check_power_additivity():

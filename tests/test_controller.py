@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from socrm import controller as ctl
 from socrm import fft_engines
-from socrm.event_bus import FaceEvent, replay
+from socrm.event_bus import MAX_FIELD, FaceEvent, replay
 from socrm.power_model import PowerModel
 
 
@@ -195,6 +195,51 @@ class TestProcessEvent:
         first, second = run(), run()
         assert [(r.state, r.action, r.exec_time_us, r.mse) for r in first] == \
                [(r.state, r.action, r.exec_time_us, r.mse) for r in second]
+
+
+class TestTransitionRows:
+    """`process_event` looks each action up in a row built at construction;
+    it must act exactly as `decide` -> `plan_action` -> `apply_action`."""
+
+    @pytest.mark.parametrize("mechanism", ctl.MECHANISMS)
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 5) | st.integers(0, MAX_FIELD), max_size=30))
+    def test_matches_the_decide_plan_apply_chain(self, mechanism, faces):
+        c = ctl.Controller(mechanism=mechanism, seed=0)
+        previous, shadow = c._state, ctl.initial_state()
+        for event in make_events(faces):
+            state, action, report = c.process_event(event)
+            planned = ctl.plan_action(shadow, ctl.decide(event.faces), mechanism)
+            shadow = ctl.apply_action(shadow, planned)
+            assert action is planned
+            assert state == shadow and state.generation == shadow.generation
+            if action.kind == ctl.NO_OP:
+                assert state is previous
+            assert (report.state, report.action) == (state, action)
+            previous = state
+
+    def test_negative_count_changes_nothing(self, monkeypatch):
+        blocks = []
+        transform = fft_engines.transform
+
+        def recording(x):
+            blocks.append(x.copy())
+            return transform(x)
+
+        monkeypatch.setattr(fft_engines, "transform", recording)
+        seen, fresh = ctl.Controller(seed=4), ctl.Controller(seed=4)
+        for c in (seen, fresh):
+            c.process_event(FaceEvent(3, 1, 0))
+            c.process_event(FaceEvent(0, 2, 1000))
+        state, pooled = seen._state, seen._pooled
+        with pytest.raises(ValueError, match="^face count must be non-negative$"):
+            seen.process_event(FaceEvent(-1, 3, 2000))
+        assert seen._state is state and seen._pooled == pooled
+        del blocks[:]
+        for c in (seen, fresh):
+            c.process_event(FaceEvent(1, 4, 3000))
+        assert len(blocks) == 2
+        assert np.array_equal(blocks[0].view(np.uint64), blocks[1].view(np.uint64))
 
 
 class TestInputBlocks:
