@@ -15,10 +15,10 @@ applies them once, at construction: it builds one row per configuration,
 from its `mechanism`, that maps each face count `RULES` has a key for to
 the action toward that count's target.  An event then costs one lookup in
 the current row; only an action that is not a NoOp is applied, and it
-switches to its target's row.  A count the rows have no key for, above the
-last rule or negative, goes through `decide` and `plan_action`, so a
-negative count raises `decide`'s ValueError before any state changes or
-any value is drawn.
+switches to its target's row.  A count the rows have no key for goes
+through `decide` first, so a negative count raises `decide`'s ValueError
+before any state changes or any value is drawn, and a count above the last
+rule takes that rule's action.
 
 Each controller keeps one input buffer per transform size and fills every
 input block into it, so a block lives only until the next event of the same
@@ -159,8 +159,9 @@ class Controller:
 
     `_rows` holds its transitions, one row per configuration built here from
     `mechanism` (see the module docstring), and `_row` is the current
-    configuration's.  Each entry is the very action `plan_action` returns.
-    Setting `mechanism` later does not rebuild the rows.
+    configuration's.  Each entry is the very action `plan_action` returns,
+    and every event takes its action from the rows, so setting `mechanism`
+    later changes no event.
     """
 
     def __init__(self, timing: TimingModel | None = None,
@@ -189,8 +190,9 @@ class Controller:
         """Look the action up in the current row, apply it unless it is a
         NoOp, then execute one FFT of the new config."""
         action = self._row.get(event.faces)
-        if action is None:  # above the last rule, or negative: decide raises
-            action = plan_action(self._state, decide(event.faces), self.mechanism)
+        if action is None:  # negative (decide raises) or above the last rule
+            decide(event.faces)
+            action = self._row[_LAST_RULE]
         if action.kind != NO_OP:
             self._state = apply_action(self._state, action)
             self._row = self._rows[action.to_config]

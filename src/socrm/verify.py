@@ -116,22 +116,18 @@ def check_q15_kernel():
 
 
 def rows_match_plan_action(mechanism):
-    """A fresh controller has one row per configuration.  For every count
-    0-63 that `RULES` has a key for, the row holds the very action
-    `plan_action` returns; it holds no other count, since `process_event`
-    sends those through `decide`."""
+    """A fresh controller has one row per configuration, keyed by the face
+    counts of `RULES`, and each entry is the very action `plan_action`
+    returns; `process_event` sends every other count through `decide`."""
     rows = controller.Controller(mechanism=mechanism)._rows
     if set(rows) != set(controller.RULES.values()):
         return False
     for config, row in rows.items():
         state = controller.FunctionState(*config, generation=0)
-        for faces in range(0, 64):
-            planned = controller.plan_action(state, controller.decide(faces), mechanism)
-            if faces in controller.RULES:
-                if row.get(faces) is not planned:
-                    return False
-            elif faces in row:
-                return False
+        if set(row) != set(controller.RULES) or not all(
+                row[f] is controller.plan_action(state, controller.decide(f), mechanism)
+                for f in controller.RULES):
+            return False
     return True
 
 
