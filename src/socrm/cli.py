@@ -176,6 +176,8 @@ def cmd_run(args) -> int:
         events = itertools.islice(events, cfg["max_events"])
 
     reports: list[controller.ExecutionReport] = []
+    # both looked up once, not on every event
+    process_event, append = ctrl.process_event, reports.append
     # The loop makes no reference cycles: what it allocates is either kept for
     # the summary or freed by reference counting.  The cyclic collector would
     # only rescan the growing report list, a full collection on 10,000 events
@@ -184,7 +186,7 @@ def cmd_run(args) -> int:
     gc.disable()
     try:
         for event in events:
-            reports.append(ctrl.process_event(event)[2])
+            append(process_event(event)[2])
     except KeyboardInterrupt:
         sys.stdout.write("interrupted; draining\n")
     finally:

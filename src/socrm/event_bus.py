@@ -48,6 +48,13 @@ class FaceEvent(NamedTuple):
     timestamp_us: int
 
 
+# builds a named tuple from one tuple of all its fields, as the class's
+# generated __new__ does, without that Python frame and its arity check: the
+# per-event records (`replay`'s events, the controller's reports) are built
+# this way, so each call site must list every field of its class
+_new_tuple = tuple.__new__
+
+
 def encode_event(event: FaceEvent) -> str:
     return json.dumps({"faces": event.faces, "seq": event.seq,
                        "timestamp_us": event.timestamp_us}) + "\n"
@@ -317,7 +324,7 @@ def replay(trace, fast_forward: bool = False):
         if not fast_forward and delay_us:
             time.sleep(delay_us / 1e6)
         now_us += delay_us
-        yield FaceEvent(faces, seq, now_us)
+        yield _new_tuple(FaceEvent, (faces, seq, now_us))
 
 
 def load_trace(path) -> list[tuple[int, int]]:

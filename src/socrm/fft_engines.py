@@ -3,11 +3,14 @@
 The software ("APU") path runs a library FFT in double precision, as the
 device's APU runs FFTW.  `transform` is its one transform call: the pocketfft
 gufunc that `numpy.fft.fft` itself ends in (`numpy.fft._pocketfft_umath.fft`,
-NumPy >= 2), with the same arguments, so its output is bit-identical to
+NumPy >= 2), with the same input and scale, so its output is bit-identical to
 `numpy.fft.fft` without that function's per-call argument handling; on NumPy
 1.x, which has no such gufunc, it calls `numpy.fft.fft` (`float_entry` names
-the one in use).  `fft_float` checks its block and then calls `transform`,
-which checks nothing.
+the one in use).  `numpy.fft.fft` passes the scale as the int 1, which the
+gufunc casts to the double 1.0; `transform` passes 1.0 and its output array
+positionally, so it skips the cast and the keyword parsing and computes the
+same bits.  `fft_float` checks its block and then calls `transform`, which
+checks nothing.
 
 The hardware ("PL") path is a numerical emulation of a 16-bit fixed-point
 streaming FFT core: Q1.15 samples, radix-2 decimation-in-time, per-stage
@@ -113,11 +116,14 @@ def transform(a: np.ndarray) -> np.ndarray:
 
     Checks nothing: the caller guarantees that `a` is a 1-D complex128 block
     of finite values whose length is a power of two >= 2.  Bit-identical to
-    `numpy.fft.fft(a)`: it is the same gufunc call, with the scale factor 1.
+    `numpy.fft.fft(a)`: it is the same gufunc call, with the scale factor 1.0,
+    the double that `numpy.fft.fft`'s int 1 is cast to.  Scale and output are
+    passed positionally, as keyword parsing and the int-to-double cast cost
+    more than the arithmetic of a small block.
     """
     if _pocketfft_fft is None:
         return np.fft.fft(a)
-    return _pocketfft_fft(a, 1, out=np.empty(len(a), np.complex128))
+    return _pocketfft_fft(a, 1.0, np.empty(len(a), np.complex128))
 
 
 def fft_float(x) -> np.ndarray:

@@ -448,6 +448,20 @@ class TestRecords:
         assert isinstance(report, ctl.ExecutionReport)
         assert (report.event, report.state, report.action) == (event, state, action)
 
+    def test_records_built_directly_have_every_field(self):
+        # replay and process_event build their records with tuple.__new__,
+        # which checks no arity: a field added to a class must be added there
+        c = ctl.Controller(seed=0)
+        records = []
+        for event in replay([(0, f) for f in (0, 1, 2, 3, 7, 0)], fast_forward=True):
+            records += [(FaceEvent, event), (ctl.ExecutionReport, c.process_event(event)[2])]
+        for cls, record in records:
+            assert type(record) is cls
+            assert len(record) == len(cls._fields)
+            assert record == cls(*record)
+            for i, name in enumerate(cls._fields):
+                assert getattr(record, name) is record[i]
+
     @pytest.mark.parametrize("field", ["faces", "seq", "timestamp_us"])
     def test_event_is_immutable(self, field):
         event = FaceEvent(1, 2, 3)

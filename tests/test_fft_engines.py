@@ -135,13 +135,15 @@ class TestFftFloatEntry:
         assert np.array_equal(as_bits(out), as_bits(fe.fft_float(x)))
         assert np.array_equal(as_bits(out), as_bits(np.fft.fft(x)))
 
-    def test_returns_a_fresh_array(self, entry):
-        x = random_block(np.random.default_rng(18), 8)
-        before = x.copy()
-        out = fe.fft_float(x)
-        assert out is not x and not np.shares_memory(out, x)
-        assert np.array_equal(x, before)
-        assert out.dtype == np.complex128 and out.shape == (8,)
+    @pytest.mark.parametrize("call", ["fft_float", "transform"])
+    def test_returns_a_fresh_array(self, entry, call):
+        for n in CONTROLLER_SIZES:
+            x = random_block(np.random.default_rng(18 + n), n)
+            before = x.copy()
+            out = getattr(fe, call)(x)
+            assert out is not x and not np.shares_memory(out, x)
+            assert np.array_equal(x, before)
+            assert out.dtype == np.complex128 and out.shape == (n,)
 
 
 class TestIfftFloat:
