@@ -176,8 +176,6 @@ def cmd_run(args) -> int:
         events = itertools.islice(events, cfg["max_events"])
 
     reports: list[controller.ExecutionReport] = []
-    # both looked up once, not on every event
-    process_event, append = ctrl.process_event, reports.append
     # The loop makes no reference cycles: what it allocates is either kept for
     # the summary or freed by reference counting.  The cyclic collector would
     # only rescan the growing report list, a full collection on 10,000 events
@@ -185,8 +183,7 @@ def cmd_run(args) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for event in events:
-            append(process_event(event)[2])
+        reports.extend(map(ctrl.process_event, events))
     except KeyboardInterrupt:
         sys.stdout.write("interrupted; draining\n")
     finally:
@@ -199,8 +196,7 @@ def cmd_run(args) -> int:
     # a failed one still reports what it delivered
     delivered, failures = [], []
     for sink, export, target in sinks:
-        samples = (telemetry.take_sample(r.state, power, r, r.event.timestamp_us)
-                   for r in reports)
+        samples = (telemetry.take_sample(r.state, power, r) for r in reports)
         try:
             delivered.append((sink, export(samples, target)))
         except telemetry.ExportError as exc:
@@ -221,7 +217,6 @@ def _write_summary(reports, power, delivered, server):
     out = sys.stdout
     out.write("== action log ==\n")
     dwell: dict = {}
-    reconfigurations = 0
     prev = None
     for r in reports:
         event, a = r.event, r.action
@@ -234,8 +229,6 @@ def _write_summary(reports, power, delivered, server):
         if r.mse is not None:
             line += f" mse={r.mse:.3e}"
         out.write(line + "\n")
-        if a.kind != controller.NO_OP:
-            reconfigurations += 1
         prev = r
     if prev is not None:
         dwell.setdefault(prev.state.config, 0)
@@ -248,7 +241,8 @@ def _write_summary(reports, power, delivered, server):
 
     out.write("== totals ==\n")
     out.write(f"events processed: {len(reports)}\n")
-    out.write(f"reconfigurations applied: {reconfigurations}\n")
+    # the generation counts the applied actions that are not NoOps
+    out.write(f"reconfigurations applied: {0 if prev is None else prev.state.generation}\n")
     if prev is not None:
         out.write(f"final state: {prev.state.config} gen={prev.state.generation}\n")
     for sink, count in delivered:

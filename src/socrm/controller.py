@@ -5,17 +5,18 @@ reconfiguration action (scale, migrate, both, or no-op), applies modeled
 reconfiguration overhead and maintains the deployed function state.  Each
 applied decision also executes one FFT of the new configuration on a
 synthetic input block (float path on APU, fixed-point path on PL) and
-returns an execution report with modeled timing and, on PL, the MSE
-against the floating-point reference.  Reports carry no power: telemetry
-and the run summary look it up in the `PowerModel`.
+returns an execution report with the new state, the action, the event,
+the modeled timing and, on PL, the MSE against the floating-point
+reference.  The report is the decision's one record.  Reports carry no
+power: telemetry and the run summary look it up in the `PowerModel`.
 
 `RULES` and `decide` are the one statement of the face-count rule and
 `plan_action` of the action between two configurations.  A `Controller`
 applies them once, at construction: it builds one row per configuration,
-from its `mechanism`, that maps each face count `RULES` has a key for to
-the action toward that count's target.  An event then costs one lookup in
-the current row; only an action that is not a NoOp is applied, and it
-switches to its target's row.  A count the rows have no key for goes
+under the mechanism it is given, that maps each face count `RULES` has a
+key for to the action toward that count's target.  An event then costs one
+lookup in the current row; only an action that is not a NoOp is applied,
+and it switches to its target's row.  A count the rows have no key for goes
 through `decide` first, so a negative count raises `decide`'s ValueError
 before any state changes or any value is drawn, and a count above the last
 rule takes that rule's action.
@@ -38,7 +39,6 @@ value of every block is finite before its FFT, and both FFTs call
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,9 +101,9 @@ class ReconfigAction:
 
 
 class ExecutionReport(NamedTuple):
-    event: FaceEvent
     state: FunctionState
     action: ReconfigAction
+    event: FaceEvent
     exec_time_us: float
     mse: float | None  # float-vs-fixed comparison; only when executing on PL
 
@@ -117,14 +117,8 @@ def decide(faces: int) -> tuple[str, int]:
 
 def plan_action(current: FunctionState, target: tuple[str, int],
                 mechanism: str = CLOCK_GATING) -> ReconfigAction:
-    """The action from `current` to `target`; equal inputs share one action."""
-    return _plan(current.config, tuple(target), mechanism)
-
-
-# an action depends only on the two configurations and the mechanism, and is
-# immutable, so one object serves every decision with the same inputs
-@functools.lru_cache(maxsize=256)
-def _plan(frm: tuple[str, int], target: tuple[str, int], mechanism: str) -> ReconfigAction:
+    """The action from `current` to `target` under `mechanism`."""
+    frm, target = current.config, tuple(target)
     if frm == target:
         return ReconfigAction(NO_OP, frm, target, 0.0)
     migrate = frm[0] != target[0]
@@ -157,17 +151,15 @@ class Controller:
     Events must be fed one at a time (serialize through a FIFO upstream);
     reports are immutable snapshots safe to hand to other threads.
 
-    `_rows` holds its transitions, one row per configuration built here from
-    `mechanism` (see the module docstring), and `_row` is the current
-    configuration's.  Each entry is the very action `plan_action` returns,
-    and every event takes its action from the rows, so setting `mechanism`
-    later changes no event.
+    `_rows` holds its transitions, one row per configuration built here
+    under `mechanism` (see the module docstring), and `_row` is the current
+    configuration's.  Each entry is the action `plan_action` returns, and
+    every event takes its action from the rows.
     """
 
     def __init__(self, timing: TimingModel | None = None,
                  mechanism: str = CLOCK_GATING, seed: int = 0):
         self.timing = timing if timing is not None else TimingModel()
-        self.mechanism = mechanism
         self._rng = np.random.default_rng(seed)
         self._state = initial_state()
         self._rows = {
@@ -186,9 +178,9 @@ class Controller:
         # slice to draw into first (None for a copy) and the next _pooled
         self._blocks: dict[tuple[int, int], tuple] = {}
 
-    def process_event(self, event: FaceEvent):
+    def process_event(self, event: FaceEvent) -> ExecutionReport:
         """Look the action up in the current row, apply it unless it is a
-        NoOp, then execute one FFT of the new config.
+        NoOp, then execute one FFT of the new config and return its report.
 
         Runs in one frame, with the execution inline: at an APU 8 event's
         few microseconds, a second call is a measurable share."""
@@ -219,17 +211,14 @@ class Controller:
         imag[...] = im
         # advanced only now, so draws that failed the check are never read
         self._pooled = pooled
+        reference = fft_engines.transform(x)
         error = None
         if state.domain == PL:
             fixed_out = fft_engines.fft_fixed(fft_engines.quantize(x))
-            reference = fft_engines.transform(x)
             scaled = fft_engines.dequantize(fixed_out) * n
             error = fft_engines.mse(reference, scaled)
-        else:
-            fft_engines.transform(x)
         exec_time = self.timing.sample_exec_time(state.domain, n)
-        report = _new_tuple(ExecutionReport, (event, state, action, exec_time, error))
-        return state, action, report
+        return _new_tuple(ExecutionReport, (state, action, event, exec_time, error))
 
     def _block(self, n: int, start: int) -> tuple:
         x = self._inputs.get(n)

@@ -103,7 +103,9 @@ def check_finite(a: np.ndarray) -> None:
         raise ValueError("input contains NaN or Inf")
 
 
-def _as_complex_block(x, points: int) -> np.ndarray:
+def _as_complex_block(x) -> np.ndarray:
+    points = len(x)
+    check_size(points)
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1 or len(a) != points:
         raise ValueError(f"expected {points} samples, got shape {a.shape}")
@@ -132,9 +134,7 @@ def fft_float(x) -> np.ndarray:
     The transform size is the block's length, a power of two >= 2, and every
     value must be finite.  Checks the block and returns `transform` of it.
     """
-    points = len(x)
-    check_size(points)
-    return transform(_as_complex_block(x, points))
+    return transform(_as_complex_block(x))
 
 
 def float_entry() -> str:
@@ -144,9 +144,7 @@ def float_entry() -> str:
 
 def ifft_float(x) -> np.ndarray:
     """Inverse DFT with 1/N normalization; inverts fft_float."""
-    points = len(x)
-    check_size(points)
-    return np.fft.ifft(_as_complex_block(x, points))
+    return np.fft.ifft(_as_complex_block(x))
 
 
 @dataclass(frozen=True)

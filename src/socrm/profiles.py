@@ -12,9 +12,10 @@ device's calibration.  Layout:
 Every key and value is checked: FFT sizes are powers of two >= 2, times are
 numbers in (0, MAX_FIELD] and power rows are three numbers in [0, MAX_FIELD],
 the bound of every event integer, so row totals, jittered times and energy
-sums stay finite.  Anything else is a ConfigError, including any other
-top-level key: a rail's static power is the non-hosting rail of the power
-rows, so it has no section.
+sums stay finite, and no FFT size may be given twice (as "8" and "08").
+Anything else is a ConfigError, including any other top-level key: a rail's
+static power is the non-hosting rail of the power rows, so it has no
+section.
 """
 
 from __future__ import annotations
@@ -31,11 +32,21 @@ class ConfigError(ValueError):
     """A run's configuration (scenario, profile, trace or flag) is unusable."""
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def read_json_object(path, what: str) -> dict:
-    """The JSON object in file `path`; anything else is a ConfigError naming `what`."""
+    """The JSON object in file `path`; anything else, or an object at any depth
+    that names one key twice, is a ConfigError naming `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
@@ -71,6 +82,9 @@ def _flatten(section, name: str, convert) -> dict:
             if points < 2 or points & (points - 1):
                 raise ValueError(f"{name}.{domain}: FFT size must be a power of two"
                                  f" >= 2, got {key!r}")
+            if (domain, points) in flat:
+                raise ValueError(f"{name}.{domain}: FFT size {points} is given twice,"
+                                 f" again as {key!r}")
             flat[(domain, points)] = convert(value, f"{name}.{domain}.{key}")
     return flat
 

@@ -1,7 +1,8 @@
 """Telemetry records of the simulated device and their export.
 
-A record is built from one execution report and the power row of the
-configuration it ran on.  Export uses the same line-delimited JSON record
+A record is built from one execution report, the decision's one record,
+and the power row of the configuration it ran on; its time is the report's
+event's `timestamp_us`.  Export uses the same line-delimited JSON record
 convention as the event wire format (one record per line, atomic).
 """
 
@@ -21,11 +22,11 @@ class ExportError(RuntimeError):
         self.delivered = delivered
 
 
-def take_sample(state: FunctionState, power: PowerModel,
-                report: ExecutionReport, timestamp_us: int) -> dict:
-    """The wire record of one decision; `last_mse` is left out on the APU path."""
+def take_sample(state: FunctionState, power: PowerModel, report: ExecutionReport) -> dict:
+    """The wire record of one decision, `state` being `report.state`;
+    `last_mse` is left out on the APU path."""
     breakdown = power.power_breakdown(state.domain, state.points)
-    sample = {"timestamp_us": timestamp_us, "domain": state.domain,
+    sample = {"timestamp_us": report.event.timestamp_us, "domain": state.domain,
               "points": state.points, "ddr_mw": breakdown.ddr_mw,
               "apu_mw": breakdown.apu_mw, "pl_mw": breakdown.pl_mw,
               "total_mw": breakdown.total_mw,

@@ -117,7 +117,7 @@ def check_q15_kernel():
 
 def rows_match_plan_action(mechanism):
     """A fresh controller has one row per configuration, keyed by the face
-    counts of `RULES`, and each entry is the very action `plan_action`
+    counts of `RULES`, and each entry equals the action `plan_action`
     returns; `process_event` sends every other count through `decide`."""
     rows = controller.Controller(mechanism=mechanism)._rows
     if set(rows) != set(controller.RULES.values()):
@@ -125,7 +125,7 @@ def rows_match_plan_action(mechanism):
     for config, row in rows.items():
         state = controller.FunctionState(*config, generation=0)
         if set(row) != set(controller.RULES) or not all(
-                row[f] is controller.plan_action(state, controller.decide(f), mechanism)
+                row[f] == controller.plan_action(state, controller.decide(f), mechanism)
                 for f in controller.RULES):
             return False
     return True

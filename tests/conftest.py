@@ -13,6 +13,7 @@ def resetting_sink():
     """A telemetry sink that reads RESET_AFTER_RECORDS records, then resets
     the connection.  Yields its address and the list of records it read."""
     srv = socket.create_server(("127.0.0.1", 0))
+    srv.settimeout(10)  # a test that fails before connecting ends its sink
     received = []
 
     def sink():

@@ -87,9 +87,9 @@ def test_criterion_4_rule_trace_reproduction():
     trace = [(0, 0), (1000, 1), (1000, 2), (1000, 3)]
     states, actions = [], []
     for event in event_bus.replay(trace, fast_forward=True):
-        state, action, _ = ctrl.process_event(event)
-        states.append(state)
-        actions.append(action)
+        decision = ctrl.process_event(event)
+        states.append(decision.state)
+        actions.append(decision.action)
     ok = [s.config for s in states] == [
         (APU, 8), (APU, 1024), (PL, 2048), (PL, 4096)]
     migrations = [a for a in actions if a.kind in

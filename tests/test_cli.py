@@ -159,6 +159,7 @@ class TestRun:
         srv = socket.socket()
         srv.bind(("127.0.0.1", 0))
         srv.listen(1)
+        srv.settimeout(10)  # a test that fails before connecting ends its sink
 
         def sink():
             conn, _ = srv.accept()
@@ -177,6 +178,7 @@ class TestRun:
     def test_file_and_socket_sinks_get_the_same_lines(self, tmp_path):
         received = []
         srv = socket.create_server(("127.0.0.1", 0))
+        srv.settimeout(10)
 
         def sink():
             conn, _ = srv.accept()
@@ -237,6 +239,52 @@ class TestRun:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_interrupt_keeps_what_was_decided(self, tmp_path, monkeypatch):
+        # the k-th event interrupts the run; the k - 1 before it are reported
+        k = 4
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(f"1000 {faces}\n" for faces in (0, 1, 2, 3, 0, 1)))
+        seen = []
+        process_event = cli.controller.Controller.process_event
+
+        def interrupting(self, event):
+            seen.append(event)
+            if len(seen) == k:
+                raise KeyboardInterrupt
+            return process_event(self, event)
+
+        monkeypatch.setattr(cli.controller.Controller, "process_event", interrupting)
+        telemetry = tmp_path / "telemetry.jsonl"
+        code, out = run_cli(["run", "--trace", str(trace), "--telemetry-file", str(telemetry)])
+        assert code == cli.EXIT_OK
+        assert "interrupted; draining\n" in out
+        assert f"events processed: {k - 1}\n" in out
+        assert f"telemetry delivered (file): {k - 1}\n" in out
+        decided = seen[:k - 1]
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("event ")] == [
+            f"seq={event.seq}" for event in decided]
+        assert [record["timestamp_us"] for record in _strict_records(telemetry)] == [
+            event.timestamp_us for event in decided]
+
+    def test_reconfigurations_are_the_final_generation(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("".join(f"10 {faces}\n" for faces in (0, 0, 1, 1, 1, 3, 3, 2, 5, 0, 0)))
+        code, out = run_cli(["run", "--trace", str(trace)])
+        assert code == 0
+        log = out.split("== action log ==\n")[1].split("== dwell / energy ==")[0].splitlines()
+        changes = sum(" -> NoOp " not in line for line in log)
+        assert (len(log), changes) == (11, 5)
+        assert f"reconfigurations applied: {changes}\n" in out
+        assert f"final state: ('APU', 8) gen={changes}\n" in out
+
+    def test_empty_trace_applies_no_reconfiguration(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"trace": []}))
+        code, out = run_cli(["run", str(scenario)])
+        assert code == 0
+        assert "events processed: 0\nreconfigurations applied: 0\n" in out
+        assert "final state" not in out
 
     def test_live_mode_with_external_emitter(self):
         code, out = _run_live("10")
@@ -399,6 +447,13 @@ class TestRun:
         assert run_cli(["run", str(path)])[0] == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == ("configuration error: mechanism must be "
                                            "clock-gating or partial-bitstream, got 'x'\n")
+
+    def test_scenario_naming_a_field_twice_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"seed": 1, "seed": 2}')
+        code, out = run_cli(["run", str(path)])
+        assert (code, out) == (cli.EXIT_CONFIG_ERROR, "")
+        assert "key 'seed' appears twice" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self):
         code, _ = run_cli(["run", "--trace", "/does/not/exist"])
@@ -587,6 +642,22 @@ class TestProfiles:
             timing.lookup_exec_time("APU", 1024)
         # power falls back to the embedded defaults when absent
         assert power.power_breakdown("APU", 8).total_mw == 3676
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"timing_us": {"APU": {"8": 0.28, "08": 99.0}}}',
+                     "timing_us.APU: FFT size 8 is given twice, again as '08'", id="8-and-08"),
+        pytest.param('{"power_mw": {"PL": {"2048": [1, 2, 3], "2048": [4, 5, 6]}}}',
+                     "key '2048' appears twice", id="repeated-size"),
+        pytest.param('{"timing_us": {"APU": {"8": 0.28}, "APU": {"8": 99.0}}}',
+                     "key 'APU' appears twice", id="repeated-domain"),
+    ])
+    def test_profile_naming_a_setting_twice_is_config_error(self, tmp_path, capsys,
+                                                           text, message):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        code, out = run_cli(["run", "--profile", str(path)])
+        assert (code, out) == (cli.EXIT_CONFIG_ERROR, "")
+        assert message in capsys.readouterr().err
 
 
 # Hostile-input properties: whatever the file holds, a run either loads it or

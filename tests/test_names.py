@@ -3,8 +3,10 @@
 A name is read when it occurs anywhere in the package's code other than its
 own definition: as a name, an attribute, an argument, a keyword or an import.
 Names are matched by spelling, so a field that shares its name with another
-(`domain`, say) passes here whoever reads it.  An exception class is read only
-by an `except` clause that names it; raising it is not reading it.
+(`domain`, say) passes here whoever reads it.  An attribute assigned on `self`
+must also be read as an attribute, not merely spelled as a plain name.  An
+exception class is read only by an `except` clause that names it; raising it
+is not reading it.
 """
 
 import ast
@@ -47,6 +49,16 @@ def test_every_name_is_read_in_the_package():
     unread = {name for tree in trees for name in _defined(tree)
               if occurrences[name] == 1 and not name.startswith("__")}
     assert unread == READ_OUTSIDE
+
+
+def test_every_attribute_set_on_self_is_read_as_an_attribute():
+    trees = _trees()
+    attributes = [node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    assigned = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
+    assert assigned - read == set()
 
 
 def test_every_exception_class_is_caught_in_the_package():

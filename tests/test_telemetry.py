@@ -22,8 +22,8 @@ def make_samples(faces_list, power):
     ctrl = Controller(seed=0)
     samples = []
     for i, faces in enumerate(faces_list):
-        state, _, report = ctrl.process_event(FaceEvent(faces, i + 1, i * 1000))
-        samples.append(tm.take_sample(state, power, report, i * 1000))
+        report = ctrl.process_event(FaceEvent(faces, i + 1, i * 1000))
+        samples.append(tm.take_sample(report.state, power, report))
     return samples
 
 
@@ -44,9 +44,11 @@ class TestSample:
 
     def test_unchanged_state_identical_but_timestamp(self, power):
         ctrl = Controller(seed=0)
-        state, _, report = ctrl.process_event(FaceEvent(1, 1, 0))
-        a = tm.take_sample(state, power, report, 100)
-        b = tm.take_sample(state, power, report, 200)
+        first = ctrl.process_event(FaceEvent(1, 1, 100))
+        second = ctrl.process_event(FaceEvent(1, 2, 200))
+        assert second.state is first.state
+        a = tm.take_sample(first.state, power, first)
+        b = tm.take_sample(second.state, power, second)
         assert b["timestamp_us"] == 200
         assert {**b, "timestamp_us": 100} == a
 
@@ -72,15 +74,16 @@ class TestSerialization:
 
     def test_wire_bytes(self, power):
         """Field order, float formatting and the omitted `last_mse`, byte for byte."""
-        event = FaceEvent(2, 7, 5000)
         apu = ctl.FunctionState(ctl.APU, 8, 0)
         pl = ctl.FunctionState(ctl.PL, 2048, 1)
         action = ctl.plan_action(apu, pl.config)
         lines = [
-            tm.render_sample(tm.take_sample(
-                apu, power, ctl.ExecutionReport(event, apu, action, 0.28, None), 1000)),
-            tm.render_sample(tm.take_sample(
-                pl, power, ctl.ExecutionReport(event, pl, action, 8.7, 0.00125), 5000)),
+            tm.render_sample(tm.take_sample(apu, power, ctl.ExecutionReport(
+                state=apu, action=action, event=FaceEvent(0, 6, 1000),
+                exec_time_us=0.28, mse=None))),
+            tm.render_sample(tm.take_sample(pl, power, ctl.ExecutionReport(
+                state=pl, action=action, event=FaceEvent(2, 7, 5000),
+                exec_time_us=8.7, mse=0.00125))),
         ]
         assert lines == [
             '{"timestamp_us": 1000, "domain": "APU", "points": 8, "ddr_mw": 425.0,'
@@ -141,6 +144,7 @@ class TestExport:
         srv = socket.socket()
         srv.bind(("127.0.0.1", 0))
         srv.listen(1)
+        srv.settimeout(10)  # a test that fails before connecting ends its sink
 
         def sink():
             conn, _ = srv.accept()
